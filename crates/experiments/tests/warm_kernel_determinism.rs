@@ -1,29 +1,18 @@
-//! The warm-kernel golden matrix: every host-side fast path added by the
-//! vectorized warming work — SoA warm lanes, the exact line-skip filters,
-//! SIMD tag probes, and the pre-decoded trace cache feeding them — must be
+//! The warm-kernel golden matrix: the pre-decoded trace cache that feeds
+//! the warming lanes, and the shard fan-out around it, must be
 //! bit-transparent. `fig2` and `fig5` reports are compared byte-for-byte
-//! across the knob matrix (`SIM_WARM_LANES` / `SIM_SIMD_TAGS` /
-//! `SIM_LINE_FILTER` / `SIM_TRACE_CACHE_MB` / `SIM_SHARDS`), and across the
-//! persistent store: machine payloads written under one knob setting must
-//! serve runs under another without moving a single digit.
+//! across `SIM_TRACE_CACHE_MB` / `SIM_SHARDS`. The lanes, the line-skip
+//! filter and the SIMD tag probes are always on; their exactness is checked
+//! against reference bodies by unit-level oracles (`workloads`
+//! `warm_oracle.rs`, `sim_core::cache` probe tests).
 //!
 //! Subprocess-driven (like `store_persistence.rs`) because the knobs are
-//! read once at machine construction and the store install is
-//! once-per-process.
+//! read once per process.
 
-use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// A fresh scratch store directory per test.
-fn scratch(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("simtech-warm-kernel-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Run a harness binary with the given env knobs, returning (stdout, stderr).
-fn run(bin: &str, envs: &[(&str, &str)], store: Option<&Path>) -> (String, String) {
+fn run(bin: &str, envs: &[(&str, &str)]) -> (String, String) {
     let mut cmd = Command::new(bin);
     cmd.args([
         "--bench",
@@ -37,14 +26,7 @@ fn run(bin: &str, envs: &[(&str, &str)], store: Option<&Path>) -> (String, Strin
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    match store {
-        Some(dir) => {
-            cmd.env("SIM_STORE", dir);
-        }
-        None => {
-            cmd.env_remove("SIM_STORE");
-        }
-    }
+    cmd.env_remove("SIM_STORE");
     let out = cmd.output().expect("harness spawns");
     assert!(
         out.status.success(),
@@ -68,21 +50,8 @@ fn metric(stderr: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// The knob matrix every harness must be invariant under. Pairwise rather
-/// than the full cross product: each dimension flips at least once against
-/// the all-on baseline, and the all-off row catches interactions.
+/// The knob matrix every harness must be invariant under.
 const MATRIX: &[(&str, &[(&str, &str)])] = &[
-    (
-        "all-off",
-        &[
-            ("SIM_WARM_LANES", "0"),
-            ("SIM_SIMD_TAGS", "0"),
-            ("SIM_LINE_FILTER", "0"),
-        ],
-    ),
-    ("lanes-off", &[("SIM_WARM_LANES", "0")]),
-    ("filter-off", &[("SIM_LINE_FILTER", "0")]),
-    ("simd-off", &[("SIM_SIMD_TAGS", "0")]),
     (
         "no-tcache-sharded",
         &[("SIM_TRACE_CACHE_MB", "0"), ("SIM_SHARDS", "3")],
@@ -93,13 +62,13 @@ const MATRIX: &[(&str, &[(&str, &str)])] = &[
 #[test]
 fn fig2_is_byte_identical_across_the_warm_kernel_matrix() {
     let bin = env!("CARGO_BIN_EXE_fig2");
-    let (baseline, base_err) = run(bin, &[], None);
+    let (baseline, base_err) = run(bin, &[]);
     assert!(
         metric(&base_err, "warm.block_refills") > 0,
-        "the lanes-on baseline actually took the block-warm path:\n{base_err}"
+        "the baseline actually took the block-warm path:\n{base_err}"
     );
     for (name, envs) in MATRIX {
-        let (out, _) = run(bin, envs, None);
+        let (out, _) = run(bin, envs);
         assert_eq!(baseline, out, "fig2 report diverged under {name}");
     }
 }
@@ -108,59 +77,11 @@ fn fig2_is_byte_identical_across_the_warm_kernel_matrix() {
 fn fig5_is_byte_identical_across_the_warm_kernel_matrix() {
     // fig5 fans out over all ten technique specs (SMARTS, SimPoint,
     // checkpointed warming, ...), so this leg covers the checkpoint
-    // save/restore paths under every knob. A pruned matrix keeps the
-    // runtime bounded: the all-off row catches interactions, the sharded
-    // row crosses the merge path with the trace-cache fallback.
+    // save/restore paths. The sharded row crosses the merge path with the
+    // trace-cache fallback.
     let bin = env!("CARGO_BIN_EXE_fig5");
-    let (baseline, _) = run(bin, &[], None);
-    for (name, envs) in [
-        ("all-off", MATRIX[0].1),
-        ("lanes-off", MATRIX[1].1),
-        ("no-tcache-sharded", MATRIX[4].1),
-    ] {
-        let (out, _) = run(bin, envs, None);
-        assert_eq!(baseline, out, "fig5 report diverged under {name}");
-    }
-}
-
-#[test]
-fn store_payloads_serve_across_knob_settings_byte_identically() {
-    // Warm-machine payloads (warm/v2) carry the serialized line-filter
-    // fields but no trace of the host-side knobs that produced them: a
-    // store populated with every optimization on must serve an
-    // everything-off rerun byte-identically, and vice versa.
-    let bin = env!("CARGO_BIN_EXE_fig2");
-    let off: &[(&str, &str)] = &[
-        ("SIM_WARM_LANES", "0"),
-        ("SIM_SIMD_TAGS", "0"),
-        ("SIM_LINE_FILTER", "0"),
-    ];
-
-    let dir = scratch("on-populates");
-    let (cold, cold_err) = run(bin, &[], Some(&dir));
-    assert!(
-        metric(&cold_err, "store.write") > 0,
-        "the cold run persisted artifacts:\n{cold_err}"
-    );
-    let (warm, warm_err) = run(bin, off, Some(&dir));
-    assert_eq!(
-        cold, warm,
-        "store written with optimizations on must serve an all-off rerun identically"
-    );
-    assert!(
-        metric(&warm_err, "store.hit") > 0,
-        "the all-off rerun actually served from the store:\n{warm_err}"
-    );
-
-    let dir = scratch("off-populates");
-    let (cold, _) = run(bin, off, Some(&dir));
-    let (warm, warm_err) = run(bin, &[], Some(&dir));
-    assert_eq!(
-        cold, warm,
-        "store written with optimizations off must serve an all-on rerun identically"
-    );
-    assert!(
-        metric(&warm_err, "store.hit") > 0,
-        "the all-on rerun actually served from the store:\n{warm_err}"
-    );
+    let (baseline, _) = run(bin, &[]);
+    let (name, envs) = MATRIX[0];
+    let (out, _) = run(bin, envs);
+    assert_eq!(baseline, out, "fig5 report diverged under {name}");
 }

@@ -110,8 +110,8 @@ pub struct Cache {
 }
 
 /// Which tag-probe body [`Cache::probe_way`] dispatches to, resolved once
-/// at construction from `SIM_SIMD_TAGS` and runtime CPU feature detection
-/// (same pattern as `simstats::kernel`).
+/// at construction from runtime CPU feature detection (same pattern as
+/// `simstats::kernel`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TagProbe {
     Scalar,
@@ -124,7 +124,7 @@ enum TagProbe {
 impl TagProbe {
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if sim_obs::env_flag("SIM_SIMD_TAGS", true) {
+        {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return TagProbe::Avx512;
             }
@@ -189,10 +189,15 @@ impl Cache {
     /// # Panics
     /// Panics if the geometry fails [`CacheConfig::validate`].
     pub fn new(cfg: CacheConfig) -> Self {
+        Self::with_probe(cfg, TagProbe::detect())
+    }
+
+    /// [`Cache::new`] with an explicit tag-probe body (tests pin each body
+    /// the host supports).
+    fn with_probe(cfg: CacheConfig, probe_impl: TagProbe) -> Self {
         cfg.validate().expect("invalid cache geometry");
         let sets = cfg.num_sets();
         let assoc = cfg.assoc as usize;
-        let probe_impl = TagProbe::detect();
         let way_stride = match probe_impl {
             TagProbe::Scalar => assoc,
             #[cfg(target_arch = "x86_64")]
@@ -589,7 +594,8 @@ impl Cache {
             return Err(StateError::Invalid("cache geometry mismatch"));
         }
         // The tag mirror is derived state: rebuild it at this binary's own
-        // stride (snapshots carry no layout, so SIMD on/off interoperate).
+        // stride (snapshots carry no layout, so hosts with and without SIMD
+        // probes interoperate).
         for i in 0..c.lines.len() {
             let l = Line {
                 tag: r.get_u64()?,
@@ -818,27 +824,59 @@ mod tests {
             .position(|l| l.valid && l.tag == tag)
     }
 
+    /// Every tag-probe body this host can run: scalar always, plus the
+    /// SIMD bodies its CPU features allow.
+    fn supported_probes() -> Vec<TagProbe> {
+        #[allow(unused_mut)]
+        let mut bodies = vec![TagProbe::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                bodies.push(TagProbe::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                bodies.push(TagProbe::Avx512);
+            }
+        }
+        bodies
+    }
+
     #[test]
     fn probe_way_matches_line_records_under_pressure() {
-        // 8-way so the padded SIMD group is fully populated; enough
+        // Every body the host supports, at 8 ways (the padded SIMD group
+        // fully populated) and 4/12 ways (pad lanes present); enough
         // distinct lines to force evictions and stale way hints.
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 4096,
-            assoc: 8,
-            line_bytes: 64,
-            latency: 1,
-        });
-        let mut x = 0x2468_ace0_1357_9bdfu64;
-        for _ in 0..5000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = (x >> 16) & 0x3fff;
-            assert_eq!(c.probe_way(addr), reference_way(&c, addr));
-            c.access(addr, x & 1 == 0);
-            assert_eq!(c.probe_way(addr), reference_way(&c, addr));
-            let other = (x >> 40) & 0x3fff;
-            assert_eq!(c.probe_way(other), reference_way(&c, other));
+        let bodies = supported_probes();
+        assert_eq!(
+            bodies.last(),
+            Some(&TagProbe::detect()),
+            "dispatch picks the widest"
+        );
+        for probe in bodies {
+            for (size_bytes, assoc) in [(4096, 8), (2048, 4), (3072, 12)] {
+                let mut c = Cache::with_probe(
+                    CacheConfig {
+                        size_bytes,
+                        assoc,
+                        line_bytes: 64,
+                        latency: 1,
+                    },
+                    probe,
+                );
+                let mut x = 0x2468_ace0_1357_9bdfu64;
+                for _ in 0..5000 {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let addr = (x >> 16) & 0x3fff;
+                    let ctx = format!("{probe:?} {assoc}-way addr {addr:#x}");
+                    assert_eq!(c.probe_way(addr), reference_way(&c, addr), "{ctx}");
+                    c.access(addr, x & 1 == 0);
+                    assert_eq!(c.probe_way(addr), reference_way(&c, addr), "{ctx}");
+                    let other = (x >> 40) & 0x3fff;
+                    assert_eq!(c.probe_way(other), reference_way(&c, other), "{ctx}");
+                }
+            }
         }
     }
 

@@ -18,10 +18,9 @@
 //! makes the whole [`Simulator`] a checkpoint (it is `Clone`; a machine
 //! snapshot *is* a deep copy), and hosts the global counter of functionally
 //! executed instructions. Streams that *interpret* (the `workloads`
-//! interpreter) report their work here; streams that merely *replay*
-//! (a [`crate::trace::TraceReader`], a restored checkpoint) do not — so the
-//! counter measures exactly the redundant functional execution a checkpoint
-//! library eliminates, and a harness sweep run with checkpoints enabled must
+//! interpreter) report their work here; restored checkpoints do not — so
+//! the counter measures exactly the redundant functional execution a
+//! checkpoint library eliminates, and a harness sweep run with checkpoints enabled must
 //! show a strictly smaller total than the same sweep without.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +65,7 @@ impl Checkpointable for Simulator {
 /// Total dynamic instructions produced by *functional interpretation*
 /// process-wide (fast-forward, functional warming, and detailed runs all
 /// count — they all pull freshly interpreted instructions). Restored
-/// checkpoints and trace replays do not count.
+/// checkpoints do not count.
 static FUNCTIONAL_INSTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {

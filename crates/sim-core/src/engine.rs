@@ -24,10 +24,6 @@ use crate::stats::SimStats;
 pub struct Simulator {
     core: Core,
     warm_last_line: u64,
-    /// `SIM_WARM_LANES` gate: route [`Simulator::warm_functional`] through
-    /// the stream's block-lane path instead of per-instruction dispatch.
-    /// Host-side only — warmed state is bit-identical either way.
-    warm_lanes: bool,
 }
 
 /// Control ops the lane path defers per predictor flush. The predictor
@@ -90,7 +86,6 @@ impl Simulator {
         Simulator {
             core: Core::new(cfg),
             warm_last_line: u64::MAX,
-            warm_lanes: sim_obs::env_flag("SIM_WARM_LANES", true),
         }
     }
 
@@ -105,8 +100,7 @@ impl Simulator {
     ///
     /// Generic over the stream so concrete streams (e.g. the `workloads`
     /// interpreter) skip through their [`InstStream::skip_n`] fast path with
-    /// no per-instruction virtual dispatch; `&mut dyn InstStream` works too
-    /// ([`Simulator::skip_dyn`] is the explicit dyn entry point).
+    /// no per-instruction virtual dispatch; `&mut dyn InstStream` works too.
     /// Instructions already pulled into the decode buffer logically precede
     /// the stream's next output, so they are skipped (discarded) first —
     /// the machine's logical position stays exactly where an unbuffered
@@ -122,18 +116,15 @@ impl Simulator {
         consumed
     }
 
-    /// Trait-object entry point for [`Simulator::skip`].
-    pub fn skip_dyn(&mut self, stream: &mut dyn InstStream, n: u64) -> u64 {
-        self.skip(stream, n)
-    }
-
     /// Functionally warm `n` instructions: branch predictor, caches, and
     /// TLBs are updated, but no cycles are simulated (SMARTS's functional
     /// warming). Returns how many instructions were consumed.
     ///
     /// Generic for the same reason as [`Simulator::skip`]: callers holding a
     /// concrete stream get a monomorphized loop with no per-instruction
-    /// virtual dispatch.
+    /// virtual dispatch. The stream is drained through its
+    /// [`InstStream::warm_block`] lanes (whole cached blocks for the
+    /// `workloads` interpreter; the default body replays `next_inst`).
     /// Buffered-but-unfetched instructions in the decode buffer drain first,
     /// through the identical warming path — they are exactly the
     /// instructions an unbuffered machine would have pulled from the stream
@@ -153,37 +144,26 @@ impl Simulator {
             consumed += 1;
             self.warm_one(&inst, line_mask);
         }
-        if self.warm_lanes {
-            let mut refills = 0u64;
-            let mut sink = WarmBatchSink {
-                mem: &mut self.core.mem,
-                bpred: &mut self.core.bpred,
-                warm_last_line: &mut self.warm_last_line,
-                line_mask,
-                ctrl: Vec::with_capacity(CTRL_BATCH),
-            };
-            // Each call consumes one stream chunk (a cached decoded block,
-            // for streams that have them) through the lane protocol.
-            while consumed < n {
-                let got = stream.warm_block(&mut sink, line_mask, n - consumed);
-                if got == 0 {
-                    break;
-                }
-                refills += 1;
-                consumed += got;
+        let mut refills = 0u64;
+        let mut sink = WarmBatchSink {
+            mem: &mut self.core.mem,
+            bpred: &mut self.core.bpred,
+            warm_last_line: &mut self.warm_last_line,
+            line_mask,
+            ctrl: Vec::with_capacity(CTRL_BATCH),
+        };
+        // Each call consumes one stream chunk (a cached decoded block, for
+        // streams that have them) through the lane protocol.
+        while consumed < n {
+            let got = stream.warm_block(&mut sink, line_mask, n - consumed);
+            if got == 0 {
+                break;
             }
-            sink.flush_ctrl();
-            self.flush_warm_metrics(refills);
-        } else {
-            while consumed < n {
-                let Some(inst) = stream.next_inst() else {
-                    break;
-                };
-                consumed += 1;
-                self.warm_one(&inst, line_mask);
-            }
-            self.flush_warm_metrics(0);
+            refills += 1;
+            consumed += got;
         }
+        sink.flush_ctrl();
+        self.flush_warm_metrics(refills);
         span.add_insts(consumed);
         consumed
     }
@@ -208,8 +188,7 @@ impl Simulator {
     }
 
     /// Drain the host-side warming observability counters into the metrics
-    /// registry. Keys are only created when an optimization actually fired,
-    /// so reports with the knobs off carry no new keys.
+    /// registry. Keys are only created when an optimization actually fired.
     fn flush_warm_metrics(&mut self, refills: u64) {
         if refills > 0 {
             sim_obs::metrics::counter("warm.block_refills").add(refills);
@@ -224,26 +203,15 @@ impl Simulator {
         }
     }
 
-    /// Trait-object entry point for [`Simulator::warm_functional`].
-    pub fn warm_functional_dyn(&mut self, stream: &mut dyn InstStream, n: u64) -> u64 {
-        self.warm_functional(stream, n)
-    }
-
     /// Detailed cycle-level simulation of up to `n` further committed
     /// instructions. Returns how many instructions committed.
     ///
     /// Generic so callers holding a concrete stream (the `workloads`
-    /// interpreter, trace readers) get a fully monomorphized hot loop —
-    /// fetch inlines the stream's batched [`InstStream::next_block`] with no
-    /// per-instruction virtual dispatch. [`Simulator::run_detailed_dyn`] is
-    /// the trait-object entry point.
+    /// interpreter) get a fully monomorphized hot loop — fetch inlines the
+    /// stream's batched [`InstStream::next_block`] with no per-instruction
+    /// virtual dispatch.
     pub fn run_detailed<S: InstStream + ?Sized>(&mut self, stream: &mut S, n: u64) -> u64 {
         self.core.run_detailed(stream, n)
-    }
-
-    /// Trait-object entry point for [`Simulator::run_detailed`].
-    pub fn run_detailed_dyn(&mut self, stream: &mut dyn InstStream, n: u64) -> u64 {
-        self.core.run_detailed_dyn(stream, n)
     }
 
     /// Number of instructions sitting in the core's fetch-ahead decode
@@ -341,7 +309,6 @@ impl Simulator {
         Ok(Simulator {
             core,
             warm_last_line,
-            warm_lanes: sim_obs::env_flag("SIM_WARM_LANES", true),
         })
     }
 }

@@ -52,7 +52,6 @@ pub mod pipeline;
 pub mod power;
 pub mod state;
 pub mod stats;
-pub mod trace;
 
 pub use config::SimConfig;
 pub use engine::Simulator;

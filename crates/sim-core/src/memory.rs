@@ -69,8 +69,12 @@ pub struct MemoryHierarchy {
     /// Whether `last_data_line` is known dirty (conservative lower bound;
     /// a filtered store must not need to set the dirty bit).
     last_data_dirty: bool,
-    /// `SIM_LINE_FILTER` gate; filter *state* is maintained either way so
-    /// serialized snapshots agree across the knob.
+    /// Whether the filter may short-circuit accesses (always on outside
+    /// tests; [`MemoryHierarchy::set_line_filter`]). Filter *state* is
+    /// maintained either way. Serialized snapshots can still differ with
+    /// it off: a filtered hit skips the MRU line's LRU-stamp bump, which
+    /// changes stamp values but never their within-set order, so stats
+    /// and later simulation agree while the bytes do not.
     filter_enabled: bool,
     /// Data accesses short-circuited by the filter (host-side
     /// observability; drained by [`MemoryHierarchy::take_filter_hits`]).
@@ -102,14 +106,14 @@ impl MemoryHierarchy {
             stats: MemStats::default(),
             last_data_line: FILTER_NONE,
             last_data_dirty: false,
-            filter_enabled: sim_obs::env_flag("SIM_LINE_FILTER", true),
+            filter_enabled: true,
             filter_hits: 0,
         }
     }
 
-    /// Enable/disable the line-skip fast path (testing and diagnostics;
-    /// normally driven by `SIM_LINE_FILTER`). State updates and statistics
-    /// are bit-identical either way — that is the filter's contract.
+    /// Enable/disable the line-skip fast path (the reference oracle in
+    /// tests). Statistics and every later simulation decision are identical
+    /// either way — that is the filter's contract.
     pub fn set_line_filter(&mut self, enabled: bool) {
         self.filter_enabled = enabled;
     }

@@ -781,7 +781,7 @@ impl Core {
     ///
     /// Generic over the stream so concrete streams (e.g. the `workloads`
     /// interpreter) inline into fetch with no per-instruction virtual
-    /// dispatch; [`Core::run_detailed_dyn`] is the trait-object entry point.
+    /// dispatch; `&mut dyn InstStream` works too.
     pub fn run_detailed<S: InstStream + ?Sized>(&mut self, stream: &mut S, limit: u64) -> u64 {
         if self.prof.is_some() {
             return self.run_detailed_profiled(stream, limit);
@@ -926,11 +926,6 @@ impl Core {
             self.counters.cycles += 1;
             self.now += 1;
         }
-    }
-
-    /// Trait-object entry point for [`Core::run_detailed`].
-    pub fn run_detailed_dyn(&mut self, stream: &mut dyn InstStream, limit: u64) -> u64 {
-        self.run_detailed(stream, limit)
     }
 
     /// Flush the hot-loop tallies into the sim-obs metrics registry

@@ -128,8 +128,6 @@ impl PhaseAcc {
 pub enum Reuse {
     /// Architectural (interpreter-state) checkpoint restored.
     ArchCkpt = 1,
-    /// Recorded warm-prefix trace replayed.
-    TraceReplay = 2,
     /// Warm-machine checkpoint restored.
     WarmCkpt = 4,
     /// Whole run served from the run cache.
@@ -152,8 +150,6 @@ pub fn provenance(bits: u8) -> &'static str {
         "cache"
     } else if bits & Reuse::WarmCkpt as u8 != 0 {
         "warm-ckpt"
-    } else if bits & Reuse::TraceReplay as u8 != 0 {
-        "trace-replay"
     } else if bits & Reuse::ArchCkpt as u8 != 0 {
         "arch-ckpt"
     } else if bits & Reuse::Shard as u8 != 0 {
@@ -467,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn provenance_priority_is_store_then_cache_then_warm_then_trace_then_arch() {
+    fn provenance_priority_is_store_then_cache_then_warm_then_arch() {
         assert_eq!(provenance(0), "cold");
         assert_eq!(provenance(Reuse::Shard as u8), "shard");
         assert_eq!(
@@ -477,11 +473,7 @@ mod tests {
         );
         assert_eq!(provenance(Reuse::ArchCkpt as u8), "arch-ckpt");
         assert_eq!(
-            provenance(Reuse::ArchCkpt as u8 | Reuse::TraceReplay as u8),
-            "trace-replay"
-        );
-        assert_eq!(
-            provenance(Reuse::TraceReplay as u8 | Reuse::WarmCkpt as u8),
+            provenance(Reuse::ArchCkpt as u8 | Reuse::WarmCkpt as u8),
             "warm-ckpt"
         );
         assert_eq!(

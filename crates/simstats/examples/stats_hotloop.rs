@@ -1,8 +1,7 @@
 //! Wall-clock probe of the statistics kernels (the simstats counterpart of
-//! `workloads/examples/pipeline_hotloop`). Criterion lives in the
-//! out-of-workspace `crates/bench` crate, so this dependency-free example is
-//! the offline way to compare the scalar loops against the lane-parallel
-//! kernels — the k-means numbers recorded in `BENCH_pipeline.json` come from:
+//! `workloads/examples/pipeline_hotloop`): a dependency-free way to compare
+//! the scalar loops against the lane-parallel kernels — the k-means numbers
+//! recorded in `BENCH_pipeline.json` come from:
 //!
 //! ```text
 //! cargo run --release -p simstats --example stats_hotloop

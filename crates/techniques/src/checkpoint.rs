@@ -2,16 +2,16 @@
 //! permutations.
 //!
 //! Every sampling technique begins by advancing the workload stream past a
-//! prefix it does not measure — fast-forwarding `x` instructions, warming
-//! functionally through a sampling gap, filling a pipeline for `y`. The
-//! harnesses run the *same* prefixes again and again: FF/WU/Run sweeps vary
-//! only `z` across a shared `(x, y)`, SMARTS permutations replay the same
-//! first gap under 44 machine configurations, random sampling revisits the
-//! same seed-placed offsets per configuration. This library makes each
+//! prefix it does not measure — fast-forwarding `x` instructions, filling a
+//! pipeline for `y`, positioning a SMARTS shard segment. The harnesses run
+//! the *same* prefixes again and again: FF/WU/Run sweeps vary only `z`
+//! across a shared `(x, y)`, random sampling and SMARTS segments revisit
+//! the same grid offsets per configuration. This library makes each
 //! distinct prefix computation happen once per process and serves
-//! restore-instead-of-reexecute afterwards.
+//! restore-instead-of-reexecute afterwards. Functional warming is not
+//! cached: it always runs live through [`Simulator::warm_functional`].
 //!
-//! Three tiers, by what the state depends on:
+//! Two tiers, by what the state depends on:
 //!
 //! 1. **Architectural tier** — [`workloads::InterpState`] snapshots keyed by
 //!    `(program fingerprint, stream position)`. Configuration-independent:
@@ -25,26 +25,18 @@
 //!    a miss builds the machine via tier 1 and stores the result; FF+WU+Run
 //!    permutations that share `(x, y)` across their `z` sweep then restore
 //!    it. Bounded by a byte budget (`SIM_CHECKPOINT_WARM_MB`).
-//! 3. **Warm-prefix trace tier** — the first SMARTS sampling gap recorded
-//!    once per program as a compact [`sim_core::trace`] byte trace plus the
-//!    interpreter state at its end. The *instruction sequence* of the gap is
-//!    configuration-independent even though the warmed machine is not;
-//!    other configurations (and reruns with shorter gaps) replay the trace
-//!    into [`Simulator::warm_functional`] instead of re-interpreting the
-//!    program, and position the interpreter through tier 1.
 //!
 //! # Correctness contract
 //!
 //! A restored-then-run window must produce *byte-identical* results to the
-//! cold path: the interpreter restore is exact ([`workloads::Interp::restore`]),
-//! a machine clone is exact, and a trace replays the exact `DynInst`
-//! sequence the interpreter would emit — so metrics cannot differ. Cost
-//! accounting is also identical: hits charge the same skipped/warmed/detailed
-//! work units the cold path measures (the library saves wall-clock and
+//! cold path: the interpreter restore is exact ([`workloads::Interp::restore`])
+//! and a machine clone is exact — so metrics cannot differ. Cost accounting
+//! is also identical: hits charge the same skipped/warmed/detailed work
+//! units the cold path measures (the library saves wall-clock and
 //! functional execution, never modeled work). The global functional-execution
 //! counter ([`sim_core::checkpoint::functional_insts`]) observes the saving:
-//! replays and restores do not count, so a sweep with the library enabled
-//! reports strictly fewer functionally executed instructions.
+//! restores do not count, so a sweep with the library enabled reports
+//! strictly fewer functionally executed instructions.
 //!
 //! # Knobs
 //!
@@ -62,15 +54,9 @@ use std::ops::Bound::{Excluded, Included};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use sim_core::trace::{TraceReader, TraceWriter};
-use sim_core::{Addr, DynInst, InstStream, SimConfig, Simulator};
+use sim_core::{InstStream, SimConfig, Simulator};
 use sim_obs::{trace as obs, Counter, Gauge, Phase, Reuse};
 use workloads::{Interp, InterpState, Program};
-
-/// Stride between architectural snapshots stored while recording a warm
-/// prefix: bounds the re-interpreted remainder when a later caller needs a
-/// position between snapshots.
-pub const ARCH_SNAPSHOT_STRIDE: u64 = 16_384;
 
 const DEFAULT_ARCH_CAP: usize = 128;
 const DEFAULT_WARM_MB: usize = 256;
@@ -117,18 +103,6 @@ struct WarmCheckpoint {
     warm: u64,
 }
 
-/// A recorded prefix of one program's dynamic stream: trace bytes for
-/// `[0, len)`, the interpreter state at `len`, and the encoder delta state
-/// needed to append more records later.
-#[derive(Debug)]
-struct PrefixTrace {
-    bytes: Arc<Vec<u8>>,
-    len: u64,
-    end_state: InterpState,
-    last_pc: Addr,
-    last_mem: Addr,
-}
-
 /// Hit/miss counters of one tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
@@ -145,8 +119,6 @@ pub struct LibraryStats {
     pub arch: TierStats,
     /// Warm-machine tier.
     pub warm: TierStats,
-    /// Warm-prefix trace tier.
-    pub prefix: TierStats,
     /// Bytes currently held by the warm-machine tier.
     pub warm_bytes: usize,
     /// Warm-machine inserts refused because the byte budget was exhausted.
@@ -160,7 +132,6 @@ pub struct Library {
     /// prog_fp → position → snapshot (BTreeMap for floor queries).
     arch: Mutex<HashMap<u64, BTreeMap<u64, Arc<InterpState>>>>,
     warm: Mutex<HashMap<WarmKey, Arc<WarmCheckpoint>>>,
-    prefix: Mutex<HashMap<u64, Arc<PrefixTrace>>>,
     /// Per-instance enable override; `None` follows the process-wide
     /// [`enabled`] flag (tests force a value to stay isolated from it).
     force: Option<bool>,
@@ -176,8 +147,6 @@ pub struct Library {
     warm_hits: Counter,
     warm_misses: Counter,
     warm_refusals: Counter,
-    prefix_hits: Counter,
-    prefix_misses: Counter,
 }
 
 impl Library {
@@ -188,7 +157,6 @@ impl Library {
         Library {
             arch: Mutex::new(HashMap::new()),
             warm: Mutex::new(HashMap::new()),
-            prefix: Mutex::new(HashMap::new()),
             force: None,
             store: None,
             arch_cap,
@@ -199,8 +167,6 @@ impl Library {
             warm_hits: Counter::detached(),
             warm_misses: Counter::detached(),
             warm_refusals: Counter::detached(),
-            prefix_hits: Counter::detached(),
-            prefix_misses: Counter::detached(),
         }
     }
 
@@ -214,8 +180,6 @@ impl Library {
         self.warm_hits = sim_obs::metrics::counter("ckpt.warm.hits");
         self.warm_misses = sim_obs::metrics::counter("ckpt.warm.misses");
         self.warm_refusals = sim_obs::metrics::counter("ckpt.warm.refusals");
-        self.prefix_hits = sim_obs::metrics::counter("ckpt.prefix.hits");
-        self.prefix_misses = sim_obs::metrics::counter("ckpt.prefix.misses");
         self
     }
 
@@ -513,152 +477,6 @@ impl Library {
         }
     }
 
-    /// Functionally warm `sim` through the first sampling gap of `program`
-    /// (SMARTS's gap `[0, gap)`), serving the instruction sequence from the
-    /// recorded prefix trace when one long enough exists and recording (or
-    /// extending) it otherwise. `interp` must be positioned at the stream
-    /// origin; on return it is positioned exactly where the cold
-    /// `warm_functional` would leave it.
-    ///
-    /// Returns the number of instructions warmed — identical to the cold
-    /// path's return value, so charge it as warmed cost unchanged.
-    pub fn warm_first_gap(
-        &self,
-        program: &Program,
-        sim: &mut Simulator,
-        interp: &mut Interp<'_>,
-        gap: u64,
-    ) -> u64 {
-        if !self.active() || gap == 0 {
-            return sim.warm_functional(interp, gap);
-        }
-        debug_assert_eq!(
-            interp.emitted(),
-            0,
-            "first-gap warming starts at the origin"
-        );
-        let fp = program.fingerprint();
-        let mut existing = {
-            let prefix = self.prefix.lock().unwrap_or_else(|e| e.into_inner());
-            prefix.get(&fp).map(Arc::clone)
-        };
-        // When memory's recording is absent or too short for the gap, a
-        // previous process may have persisted a longer one.
-        if existing.as_deref().map_or(0, |p| p.len) < gap {
-            if let Some(pt) = self.store_prefix_lookup(fp) {
-                if pt.len > existing.as_deref().map_or(0, |p| p.len) {
-                    obs::mark_reuse(Reuse::StoreRestore);
-                    let mut map = self.prefix.lock().unwrap_or_else(|e| e.into_inner());
-                    map.insert(fp, Arc::clone(&pt));
-                    drop(map);
-                    existing = Some(pt);
-                }
-            }
-        }
-        if let Some(pt) = existing.as_deref() {
-            if pt.len >= gap {
-                self.prefix_hits.inc();
-                obs::mark_reuse(Reuse::TraceReplay);
-                let mut reader =
-                    TraceReader::new(&pt.bytes[..]).expect("library traces are well-formed");
-                let warmed = sim.warm_functional(&mut reader, gap);
-                debug_assert_eq!(warmed, gap, "recorded prefix covers the gap");
-                if gap == pt.len {
-                    let mut span = obs::span(Phase::CheckpointRestore);
-                    span.add_bytes(pt.end_state.approx_bytes() as u64);
-                    interp.restore(&pt.end_state);
-                } else {
-                    self.advance_interp(interp, gap);
-                }
-                return warmed;
-            }
-        }
-        self.prefix_misses.inc();
-        // Replay what is recorded, then warm the rest live while recording
-        // it (extending the stored trace byte-compatibly).
-        let (mut writer, replayed) = match existing.as_deref() {
-            Some(pt) => {
-                obs::mark_reuse(Reuse::TraceReplay);
-                let mut reader =
-                    TraceReader::new(&pt.bytes[..]).expect("library traces are well-formed");
-                let n = sim.warm_functional(&mut reader, pt.len);
-                debug_assert_eq!(n, pt.len);
-                let mut span = obs::span(Phase::CheckpointRestore);
-                span.add_bytes(pt.end_state.approx_bytes() as u64);
-                interp.restore(&pt.end_state);
-                drop(span);
-                let bytes = Vec::clone(&pt.bytes);
-                (TraceWriter::append(bytes, pt.last_pc, pt.last_mem), pt.len)
-            }
-            None => (
-                TraceWriter::new(Vec::new()).expect("writing to a Vec is infallible"),
-                0,
-            ),
-        };
-        let live = {
-            let mut rec = RecordingStream {
-                interp,
-                writer: &mut writer,
-                snaps: Vec::new(),
-            };
-            let live = sim.warm_functional(&mut rec, gap - replayed);
-            for (pos, state) in rec.snaps.drain(..) {
-                self.store_arch(fp, pos, state);
-            }
-            live
-        };
-        let warmed = replayed + live;
-        let (last_pc, last_mem) = (writer.last_pc(), writer.last_mem());
-        let trace = PrefixTrace {
-            bytes: Arc::new(writer.into_inner()),
-            len: warmed,
-            end_state: interp.snapshot(),
-            last_pc,
-            last_mem,
-        };
-        let mut map = self.prefix.lock().unwrap_or_else(|e| e.into_inner());
-        let current_len = map.get(&fp).map_or(0, |p| p.len);
-        if trace.len > current_len {
-            // Spill the new longest recording behind before publishing it
-            // in memory (the store stamps writes, so last-longest wins
-            // across processes too).
-            if let Some(store) = &self.store {
-                store.put(
-                    crate::store::NS_PREFIX,
-                    sim_store::Key::of(&crate::store::prefix_key_bytes(fp)),
-                    crate::store::encode_prefix(
-                        fp,
-                        &trace.bytes,
-                        trace.len,
-                        &trace.end_state,
-                        trace.last_pc,
-                        trace.last_mem,
-                    ),
-                );
-            }
-            map.insert(fp, Arc::new(trace)); // longest recording wins
-        }
-        warmed
-    }
-
-    /// Try to hydrate a program's recorded warm prefix from the persistent
-    /// store.
-    fn store_prefix_lookup(&self, fp: u64) -> Option<Arc<PrefixTrace>> {
-        let store = self.store.as_ref()?;
-        let payload = store.get(
-            crate::store::NS_PREFIX,
-            sim_store::Key::of(&crate::store::prefix_key_bytes(fp)),
-        )?;
-        let sp = crate::store::decode_prefix(fp, &payload).ok()?;
-        Some(Arc::new(PrefixTrace {
-            bytes: Arc::new(sp.bytes),
-            len: sp.len,
-            end_state: sp.end_state,
-            last_pc: sp.last_pc,
-            last_mem: sp.last_mem,
-        }))
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> LibraryStats {
         LibraryStats {
@@ -670,10 +488,6 @@ impl Library {
                 hits: self.warm_hits.get(),
                 misses: self.warm_misses.get(),
             },
-            prefix: TierStats {
-                hits: self.prefix_hits.get(),
-                misses: self.prefix_misses.get(),
-            },
             warm_bytes: self.warm_bytes.get() as usize,
             warm_refusals: self.warm_refusals.get(),
         }
@@ -684,13 +498,11 @@ impl Library {
     pub fn summary(&self) -> String {
         let s = self.stats();
         format!(
-            "checkpoints: arch {}/{} warm {}/{} prefix {}/{} (hits/misses), {} KiB warm state, {} refusals",
+            "checkpoints: arch {}/{} warm {}/{} (hits/misses), {} KiB warm state, {} refusals",
             s.arch.hits,
             s.arch.misses,
             s.warm.hits,
             s.warm.misses,
-            s.prefix.hits,
-            s.prefix.misses,
             s.warm_bytes / 1024,
             s.warm_refusals,
         )
@@ -700,10 +512,6 @@ impl Library {
     pub fn clear(&self) {
         self.arch.lock().unwrap_or_else(|e| e.into_inner()).clear();
         self.warm.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.prefix
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
         self.warm_bytes.set(0);
         for c in [
             &self.arch_hits,
@@ -711,8 +519,6 @@ impl Library {
             &self.warm_hits,
             &self.warm_misses,
             &self.warm_refusals,
-            &self.prefix_hits,
-            &self.prefix_misses,
         ] {
             c.reset();
         }
@@ -726,38 +532,11 @@ impl Default for Library {
 }
 
 /// The process-wide checkpoint library. Its tier counters are registered
-/// in the metrics registry as `ckpt.{arch,warm,prefix}.{hits,misses}`,
+/// in the metrics registry as `ckpt.{arch,warm}.{hits,misses}`,
 /// `ckpt.warm.refusals`, and the `ckpt.warm.bytes` gauge.
 pub fn global() -> &'static Library {
     static GLOBAL: OnceLock<Library> = OnceLock::new();
     GLOBAL.get_or_init(|| Library::from_env().registered())
-}
-
-/// Tees an interpreter's output into a trace writer while another consumer
-/// (functional warming) drains it, snapshotting the interpreter at
-/// [`ARCH_SNAPSHOT_STRIDE`] boundaries.
-struct RecordingStream<'a, 'p> {
-    interp: &'a mut Interp<'p>,
-    writer: &'a mut TraceWriter<Vec<u8>>,
-    snaps: Vec<(u64, InterpState)>,
-}
-
-impl InstStream for RecordingStream<'_, '_> {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        let i = self.interp.next_inst()?;
-        self.writer
-            .push(&i)
-            .expect("writing to a Vec is infallible");
-        if self.interp.emitted() % ARCH_SNAPSHOT_STRIDE == 0 {
-            self.snaps
-                .push((self.interp.emitted(), self.interp.snapshot()));
-        }
-        Some(i)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.interp.len_hint()
-    }
 }
 
 #[cfg(test)]
@@ -882,128 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_first_gap_replay_matches_live_warming() {
-        let p = program();
-        let cfg = SimConfig::table3(2);
-        let lib = lib();
-        let gap = 45_000;
-
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let mut cold_stream = Interp::new(&p);
-        let cold_warmed = cold_sim.warm_functional(&mut cold_stream, gap);
-
-        // First call records, second replays; both must match cold exactly.
-        for round in 0..2 {
-            let mut sim = Simulator::new(cfg.clone());
-            let mut stream = Interp::new(&p);
-            let warmed = lib.warm_first_gap(&p, &mut sim, &mut stream, gap);
-            assert_eq!(warmed, cold_warmed, "round {round}");
-            assert_eq!(stream.emitted(), cold_stream.emitted(), "round {round}");
-            sim.run_detailed(&mut stream, 2_000);
-            let mut cold_check = cold_sim.clone();
-            let mut cold_tail = cold_stream.clone();
-            cold_check.run_detailed(&mut cold_tail, 2_000);
-            assert_eq!(sim.stats(), cold_check.stats(), "round {round}");
-        }
-        let s = lib.stats();
-        assert_eq!(s.prefix, TierStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn warm_first_gap_replays_without_reinterpreting() {
-        use sim_core::checkpoint::thread_functional_insts;
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = lib();
-        let gap = 40_000;
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        lib.warm_first_gap(&p, &mut sim, &mut stream, gap);
-        drop(stream);
-
-        let before = thread_functional_insts();
-        let mut sim2 = Simulator::new(cfg);
-        let mut stream2 = Interp::new(&p);
-        let warmed = lib.warm_first_gap(&p, &mut sim2, &mut stream2, gap);
-        drop(stream2);
-        assert_eq!(warmed, gap);
-        assert_eq!(
-            thread_functional_insts() - before,
-            0,
-            "full-gap replay restores the end state without re-execution"
-        );
-    }
-
-    #[test]
-    fn warm_first_gap_serves_shorter_gaps_from_a_longer_recording() {
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = lib();
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        lib.warm_first_gap(&p, &mut sim, &mut stream, 50_000);
-        drop(stream);
-
-        // A rerun with more samples has a shorter first gap.
-        let short = 18_000;
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let mut cold_stream = Interp::new(&p);
-        cold_sim.warm_functional(&mut cold_stream, short);
-
-        let mut warm_sim = Simulator::new(cfg);
-        let mut warm_stream = Interp::new(&p);
-        let warmed = lib.warm_first_gap(&p, &mut warm_sim, &mut warm_stream, short);
-        assert_eq!(warmed, short);
-        assert_eq!(warm_stream.emitted(), short);
-        warm_sim.run_detailed(&mut warm_stream, 1_500);
-        cold_sim.run_detailed(&mut cold_stream, 1_500);
-        assert_eq!(warm_sim.stats(), cold_sim.stats());
-        assert_eq!(lib.stats().prefix.hits, 1);
-    }
-
-    #[test]
-    fn warm_first_gap_extends_an_existing_recording() {
-        use sim_core::checkpoint::thread_functional_insts;
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = lib();
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        lib.warm_first_gap(&p, &mut sim, &mut stream, 20_000);
-        drop(stream);
-
-        // A longer gap replays the recorded 20k and interprets only 10k.
-        // Interpreters batch their work counter and flush on drop, so each
-        // phase drops its stream (and resumes from a snapshot) before
-        // asserting counter deltas.
-        let before = thread_functional_insts();
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let cold_end = {
-            let mut cold_stream = Interp::new(&p);
-            cold_sim.warm_functional(&mut cold_stream, 30_000);
-            cold_stream.snapshot()
-        };
-        assert_eq!(thread_functional_insts() - before, 30_000);
-
-        let before = thread_functional_insts();
-        let mut sim2 = Simulator::new(cfg);
-        let warm_end = {
-            let mut stream2 = Interp::new(&p);
-            let warmed = lib.warm_first_gap(&p, &mut sim2, &mut stream2, 30_000);
-            assert_eq!(warmed, 30_000);
-            stream2.snapshot()
-        };
-        assert_eq!(thread_functional_insts() - before, 10_000);
-        assert_eq!(warm_end, cold_end);
-
-        let mut cold_tail = Interp::resume(&p, &cold_end);
-        cold_sim.run_detailed(&mut cold_tail, 1_500);
-        let mut warm_tail = Interp::resume(&p, &warm_end);
-        sim2.run_detailed(&mut warm_tail, 1_500);
-        assert_eq!(sim2.stats(), cold_sim.stats());
-    }
-
-    #[test]
     fn disabled_library_falls_back_to_cold_paths() {
         // Pin this instance off instead of calling [`set_enabled`]: the
         // process-wide flag is shared with concurrently running tests.
@@ -1101,38 +758,6 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(warm.next_inst(), cold.next_inst());
         }
-    }
-
-    #[test]
-    fn warm_first_gap_hydrates_prefix_from_store() {
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let store = scratch_store("prefix");
-        let gap = 30_000;
-
-        let first = lib().with_store(Arc::clone(&store));
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        first.warm_first_gap(&p, &mut sim, &mut stream, gap);
-        drop(stream);
-        store.flush().unwrap();
-        drop(first);
-
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let mut cold_stream = Interp::new(&p);
-        cold_sim.warm_functional(&mut cold_stream, gap);
-
-        use sim_core::checkpoint::thread_functional_insts;
-        let before = thread_functional_insts();
-        let second = lib().with_store(Arc::clone(&store));
-        let mut sim2 = Simulator::new(cfg);
-        let mut stream2 = Interp::new(&p);
-        let warmed = second.warm_first_gap(&p, &mut sim2, &mut stream2, gap);
-        assert_eq!(warmed, gap);
-        assert_eq!(thread_functional_insts() - before, 0, "gap replayed");
-        sim2.run_detailed(&mut stream2, 2_000);
-        cold_sim.run_detailed(&mut cold_stream, 2_000);
-        assert_eq!(sim2.stats(), cold_sim.stats());
     }
 
     #[test]

@@ -322,7 +322,9 @@ fn run_technique_uncached(
         TechniqueSpec::Smarts { u, w } => {
             let program = prep.reference();
             let out = smarts::run_smarts(program, cfg, *u, *w);
-            Some(RunResult {
+            // A pass that measured no unit (the stream ends before the first
+            // one) has no CPI: N/A, like an inapplicable Table 2 cell.
+            (out.n_samples > 0).then_some(RunResult {
                 metrics: out.metrics,
                 cost: out.cost,
             })
@@ -519,6 +521,25 @@ mod tests {
         .unwrap();
         assert!(r.cost.warmed > 0);
         assert!(r.metrics.cpi.is_finite());
+    }
+
+    #[test]
+    fn smarts_that_measures_no_unit_is_none() {
+        // vpr-route at scale 0.02 is ~67K instructions: the one sample's
+        // 20K-instruction detailed warm-up runs past the end of the stream.
+        let p = PreparedBench::by_name_scaled("vpr-route", 0.02).unwrap();
+        for c in 1..=4 {
+            let r = run_technique(
+                &TechniqueSpec::Smarts { u: 100, w: 20_000 },
+                &p,
+                &SimConfig::table3(c),
+            );
+            assert!(
+                r.is_none(),
+                "table3:{c}: a SMARTS run without a measured unit is N/A, got {:?}",
+                r.map(|r| r.metrics)
+            );
+        }
     }
 
     #[test]

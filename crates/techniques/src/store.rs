@@ -34,8 +34,6 @@ pub const NS_ARCH: &str = "arch/v1";
 /// so v1 payloads no longer decode — the bump makes stale entries miss
 /// cleanly and re-warm instead of erroring.
 pub const NS_WARM: &str = "warm/v2";
-/// Namespace of warm-prefix trace recordings.
-pub const NS_PREFIX: &str = "prefix/v1";
 
 fn input_set_tag(i: InputSet) -> u8 {
     match i {
@@ -129,13 +127,6 @@ pub fn warm_key_bytes(prog_fp: u64, cfg_fp: u64, x: u64, y: u64) -> Vec<u8> {
     w.put_u64(cfg_fp);
     w.put_u64(x);
     w.put_u64(y);
-    w.into_bytes()
-}
-
-/// Canonical key bytes for a program's warm-prefix trace.
-pub fn prefix_key_bytes(prog_fp: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prog_fp);
     w.into_bytes()
 }
 
@@ -262,68 +253,6 @@ pub fn decode_warm(
     let sim = Simulator::load_state(cfg.clone(), r.get_bytes()?)?;
     r.finish()?;
     Ok((sim, interp, skipped, warm))
-}
-
-/// A warm-prefix trace hydrated from the store (mirror of the library's
-/// internal recording, in owned form).
-#[derive(Debug)]
-pub struct StoredPrefix {
-    /// `sim_core::trace` bytes covering stream positions `[0, len)`.
-    pub bytes: Vec<u8>,
-    /// Instructions recorded.
-    pub len: u64,
-    /// Interpreter state at position `len`.
-    pub end_state: InterpState,
-    /// Trace-encoder delta state at the end (for appending).
-    pub last_pc: u64,
-    /// Trace-encoder delta state at the end (for appending).
-    pub last_mem: u64,
-}
-
-/// Encode a warm-prefix recording for `prog_fp`: `trace` bytes covering
-/// positions `[0, len)`, the interpreter state at `len`, and the trace
-/// encoder's delta state for later appends.
-pub fn encode_prefix(
-    prog_fp: u64,
-    trace: &[u8],
-    len: u64,
-    end_state: &InterpState,
-    last_pc: u64,
-    last_mem: u64,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prog_fp);
-    w.put_u64(len);
-    w.put_u64(last_pc);
-    w.put_u64(last_mem);
-    w.put_bytes(&end_state.to_bytes());
-    w.put_bytes(trace);
-    w.into_bytes()
-}
-
-/// Decode a warm-prefix recording, requiring it to belong to `prog_fp` and
-/// be internally consistent (end state at position `len`).
-pub fn decode_prefix(prog_fp: u64, bytes: &[u8]) -> Result<StoredPrefix, StateError> {
-    let mut r = ByteReader::new(bytes);
-    if r.get_u64()? != prog_fp {
-        return Err(StateError::Invalid("prefix belongs to another program"));
-    }
-    let len = r.get_u64()?;
-    let last_pc = r.get_u64()?;
-    let last_mem = r.get_u64()?;
-    let end_state = InterpState::from_bytes(r.get_bytes()?)?;
-    if end_state.program_fingerprint() != prog_fp || end_state.emitted() != len {
-        return Err(StateError::Invalid("prefix end state inconsistent"));
-    }
-    let trace = r.get_bytes()?.to_vec();
-    r.finish()?;
-    Ok(StoredPrefix {
-        bytes: trace,
-        len,
-        end_state,
-        last_pc,
-        last_mem,
-    })
 }
 
 #[cfg(test)]
@@ -458,37 +387,5 @@ mod tests {
             "a checkpoint from another machine configuration is foreign"
         );
         assert!(decode_warm(fp, &cfg, 2_001, 1_000, &bytes).is_err());
-    }
-
-    #[test]
-    fn prefix_payload_roundtrips() {
-        let p = workloads::benchmark("gzip")
-            .unwrap()
-            .program(InputSet::Small)
-            .unwrap();
-        let mut it = workloads::Interp::new(&p);
-        it.skip_n(1_000);
-        let fp = p.fingerprint();
-        let stored = StoredPrefix {
-            bytes: vec![1, 2, 3, 4, 5],
-            len: 1_000,
-            end_state: it.snapshot(),
-            last_pc: 0x4242,
-            last_mem: 0x999,
-        };
-        let bytes = encode_prefix(
-            fp,
-            &stored.bytes,
-            stored.len,
-            &stored.end_state,
-            stored.last_pc,
-            stored.last_mem,
-        );
-        let back = decode_prefix(fp, &bytes).unwrap();
-        assert_eq!(back.bytes, stored.bytes);
-        assert_eq!(back.len, stored.len);
-        assert_eq!(back.end_state, stored.end_state);
-        assert_eq!((back.last_pc, back.last_mem), (0x4242, 0x999));
-        assert!(decode_prefix(fp + 1, &bytes).is_err());
     }
 }

@@ -1,9 +1,8 @@
 //! Wall-clock probe of the detailed-pipeline hot loop.
 //!
-//! Criterion lives in the out-of-workspace `crates/bench` crate (it needs
-//! network access to build), so this dependency-free example is the offline
-//! way to measure `run_detailed` throughput — the numbers recorded in
-//! `BENCH_pipeline.json` come from running it before and after a change:
+//! A dependency-free way to measure `run_detailed` throughput — the numbers
+//! recorded in `BENCH_pipeline.json` come from running it before and after
+//! a change:
 //!
 //! ```text
 //! cargo run --release -p workloads --example pipeline_hotloop

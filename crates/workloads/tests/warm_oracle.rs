@@ -1,0 +1,73 @@
+//! Functional-warming oracle: the interpreter's block-lane override of
+//! `InstStream::warm_block`, with the exact line-skip filter on, must leave
+//! every machine statistic where the plain per-instruction reference leaves
+//! it — for every suite benchmark under Table 3 configurations 1–4.
+//!
+//! The reference drives the same program through a wrapper that implements
+//! only `next_inst`, so warming takes the default `warm_block` body and
+//! detailed simulation the default `next_block`, on a machine whose line
+//! filter is off. `stats()` is compared after warming and again after a
+//! following detailed window, which is where a divergence in warmed cache
+//! or predictor state would surface. Serialized machine bytes are not
+//! compared: a filtered hit skips the MRU line's LRU-stamp bump on purpose,
+//! which changes stamp values but never their order within a set.
+
+use sim_core::isa::{DynInst, InstStream};
+use sim_core::{SimConfig, Simulator};
+use workloads::{suite, InputSet, Interp};
+
+/// Hides every fast path of the wrapped interpreter: only `next_inst` is
+/// implemented, so callers get the trait's default bodies.
+struct NextInstOnly<'a, 'p>(&'a mut Interp<'p>);
+
+impl InstStream for NextInstOnly<'_, '_> {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        self.0.next_inst()
+    }
+}
+
+/// Detailed instructions simulated after the warmed gap.
+const WINDOW: u64 = 20_000;
+
+#[test]
+fn lane_warming_with_line_filter_matches_per_instruction_reference() {
+    for bench in suite() {
+        let program = bench
+            .program_scaled(InputSet::Reference, 0.02)
+            .expect("every benchmark has a reference input");
+        let gap = program.dynamic_len_estimate.saturating_sub(WINDOW) * 3 / 4;
+        assert!(gap > 10_000, "{}: stream too short to warm", bench.name);
+        for c in 1..=4 {
+            let cfg = SimConfig::table3(c);
+            let ctx = format!("{} table3:{c}", bench.name);
+
+            let mut fast = Simulator::new(cfg.clone());
+            let mut fast_stream = Interp::new(&program);
+
+            let mut slow = Simulator::new(cfg);
+            slow.core_mut().mem.set_line_filter(false);
+            let mut slow_interp = Interp::new(&program);
+            let mut slow_stream = NextInstOnly(&mut slow_interp);
+
+            assert_eq!(
+                fast.warm_functional(&mut fast_stream, gap),
+                slow.warm_functional(&mut slow_stream, gap),
+                "{ctx}: warmed instruction count"
+            );
+            assert_eq!(fast.stats(), slow.stats(), "{ctx}: stats after warming");
+
+            fast.reset_stats();
+            slow.reset_stats();
+            assert_eq!(
+                fast.run_detailed(&mut fast_stream, WINDOW),
+                slow.run_detailed(&mut slow_stream, WINDOW),
+                "{ctx}: committed instruction count"
+            );
+            assert_eq!(
+                fast.stats(),
+                slow.stats(),
+                "{ctx}: stats after the detailed window"
+            );
+        }
+    }
+}

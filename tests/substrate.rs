@@ -1,8 +1,7 @@
-//! Integration tests of the substrate extensions (power model, trace
-//! record/replay) against real workloads.
+//! Integration tests of the substrate extensions (power model) against
+//! real workloads.
 
 use simtech_repro::sim_core::power::{estimate, PowerConfig};
-use simtech_repro::sim_core::trace::{record, TraceReader};
 use simtech_repro::sim_core::{SimConfig, Simulator};
 use simtech_repro::workloads::{benchmark, InputSet, Interp};
 
@@ -59,47 +58,6 @@ fn nlp_trades_core_time_for_memory_traffic_energy() {
         nlp_power.dram,
         base_power.dram
     );
-}
-
-#[test]
-fn workload_trace_roundtrips_and_replays_cycle_exact() {
-    let p = small_program("gcc");
-    let mut buf = Vec::new();
-    let mut stream = Interp::new(&p);
-    let n = record(&mut stream, &mut buf, u64::MAX).unwrap();
-    assert!(n > 50_000, "gcc tiny stream has {n} instructions");
-    // Compact: real workloads should be well under 10 bytes/inst.
-    assert!(
-        (buf.len() as f64 / n as f64) < 10.0,
-        "{:.1} bytes/inst",
-        buf.len() as f64 / n as f64
-    );
-
-    let cfg = SimConfig::table3(1);
-    let mut live = Simulator::new(cfg.clone());
-    let mut s = Interp::new(&p);
-    live.run_detailed(&mut s, u64::MAX);
-
-    let mut replayed = Simulator::new(cfg);
-    let mut r = TraceReader::new(&buf[..]).unwrap();
-    replayed.run_detailed(&mut r, u64::MAX);
-
-    assert_eq!(live.stats(), replayed.stats());
-}
-
-#[test]
-fn traced_prefix_matches_interpreter_prefix() {
-    let p = small_program("perlbmk");
-    let mut buf = Vec::new();
-    let mut stream = Interp::new(&p);
-    record(&mut stream, &mut buf, 5_000).unwrap();
-    let mut reader = TraceReader::new(&buf[..]).unwrap();
-    let mut fresh = Interp::new(&p);
-    for i in 0..5_000 {
-        let a = simtech_repro::sim_core::isa::InstStream::next_inst(&mut reader);
-        let b = simtech_repro::sim_core::isa::InstStream::next_inst(&mut fresh);
-        assert_eq!(a, b, "divergence at instruction {i}");
-    }
 }
 
 #[test]

@@ -1,7 +1,5 @@
 //! Continuous-benchmarking support: the unified `simbench` baseline schema,
-//! the MAD-based noise model, regression comparison, and the converter that
-//! folds the historical ad-hoc `BENCH_{parallel,shards,pipeline}.json`
-//! layouts into the unified schema.
+//! the MAD-based noise model, and regression comparison.
 //!
 //! The schema is one JSON object per baseline file:
 //!
@@ -155,8 +153,7 @@ impl Bench {
             Some(SCHEMA_NAME) => {}
             other => {
                 return Err(format!(
-                    "schema discriminator {other:?} (expected {SCHEMA_NAME:?}); \
-                     convert legacy BENCH files with simbench --convert"
+                    "schema discriminator {other:?} (expected {SCHEMA_NAME:?})"
                 ))
             }
         }
@@ -348,110 +345,6 @@ fn trim(v: f64) -> String {
     s.trim_end_matches('0').trim_end_matches('.').to_string()
 }
 
-/// Fold one legacy `BENCH_*.json` layout into unified-schema probes.
-/// Recognizes the three historical shapes by their distinguishing keys:
-///
-/// - `BENCH_pipeline.json` — `run_detailed` rows (and the nested `pr7`
-///   update) with `after_ns_per_inst` per workload;
-/// - `BENCH_parallel.json` — `benchmark.runs[]` with `jobs` +
-///   `wall_clock_s`;
-/// - `BENCH_shards.json` — `benchmark.runs[]` with `shards` +
-///   `wall_clock_s`.
-///
-/// Converted probes carry `runs: 1` and `mad: 0` (the legacy files kept no
-/// per-sample spread) plus a provenance note, so the old trajectory stays
-/// comparable without overstating its precision.
-pub fn convert_legacy(file_label: &str, text: &str) -> Result<Vec<(String, Probe)>, String> {
-    let j = Json::parse(text)?;
-    if j.get("schema").and_then(Json::as_str) == Some(SCHEMA_NAME) {
-        return Err(format!("{file_label}: already in the unified schema"));
-    }
-    let note = |section: &str| Some(format!("converted from {file_label} {section}"));
-    let mut out = Vec::new();
-    let date = j.get("date").and_then(Json::as_str).unwrap_or("?");
-
-    // BENCH_pipeline.json: top-level and pr7 run_detailed tables.
-    for (prefix, section) in [("", "run_detailed"), ("pr7.", "pr7")] {
-        let tbl = if prefix.is_empty() {
-            j.get("run_detailed")
-        } else {
-            j.get("pr7").and_then(|p| p.get("run_detailed"))
-        };
-        let Some(Json::Arr(rows)) = tbl else { continue };
-        for row in rows {
-            let Some(workload) = row.get("workload").and_then(Json::as_str) else {
-                continue;
-            };
-            let Some(after) = row.get("after_ns_per_inst").and_then(Json::as_f64) else {
-                continue;
-            };
-            // "gzip @ scale 0.02 (...)" -> "gzip"; keep odd labels whole.
-            let short = workload
-                .split([' ', ','])
-                .next()
-                .unwrap_or(workload)
-                .to_lowercase();
-            // Two rows can share a leading word ("gzip" and "gzip,
-            // SIM_TRACE_CACHE=0"); suffix duplicates instead of silently
-            // keeping only the last.
-            let mut key = format!("legacy.{prefix}run_detailed.{short}.ns_per_inst");
-            let mut dup = 1;
-            while out.iter().any(|(n, _)| *n == key) {
-                dup += 1;
-                key = format!("legacy.{prefix}run_detailed.{short}.{dup}.ns_per_inst");
-            }
-            out.push((
-                key,
-                Probe {
-                    value: after,
-                    mad: 0.0,
-                    runs: 1,
-                    unit: "ns/inst".to_string(),
-                    direction: Direction::Lower,
-                    floor: None,
-                    note: note(&format!("{section} ({date})")),
-                },
-            ));
-        }
-    }
-
-    // BENCH_parallel.json / BENCH_shards.json: benchmark.runs rows.
-    if let Some(Json::Arr(rows)) = j.get("benchmark").and_then(|b| b.get("runs")) {
-        for row in rows {
-            let Some(wall) = row.get("wall_clock_s").and_then(Json::as_f64) else {
-                continue;
-            };
-            let key = if let Some(jobs) = row.get("jobs").and_then(Json::as_u64) {
-                format!("legacy.parallel.jobs{jobs}.wall_s")
-            } else if let Some(shards) = row.get("shards").and_then(Json::as_u64) {
-                format!("legacy.shards.{shards}.wall_s")
-            } else {
-                continue;
-            };
-            out.push((
-                key,
-                Probe {
-                    value: wall,
-                    mad: 0.0,
-                    runs: 1,
-                    unit: "s".to_string(),
-                    direction: Direction::Lower,
-                    floor: None,
-                    note: note(&format!("benchmark.runs ({date})")),
-                },
-            ));
-        }
-    }
-
-    if out.is_empty() {
-        return Err(format!(
-            "{file_label}: no recognized legacy sections \
-             (expected run_detailed rows or benchmark.runs)"
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,7 +404,7 @@ mod tests {
                 .contains("schema version")
         );
         let err = Bench::parse("{\"v\":1,\"probes\":{}}").unwrap_err();
-        assert!(err.contains("--convert"), "{err}");
+        assert!(err.contains("schema discriminator"), "{err}");
     }
 
     #[test]
@@ -573,36 +466,5 @@ mod tests {
         cur.probes.insert("p".into(), measured);
         let rows = compare(&base, &cur);
         assert_eq!(rows[0].verdict, Verdict::Regressed, "{}", rows[0].detail);
-    }
-
-    #[test]
-    fn legacy_pipeline_and_shards_files_convert() {
-        let pipeline = r#"{"date":"2026-08-05","run_detailed":[
-            {"workload":"gzip @ scale 0.02 (compute-bound)","before_ns_per_inst":160.0,"after_ns_per_inst":128.67,"speedup":1.25},
-            {"workload":"interp_stream floor (gzip)","after_ns_per_inst":5.47}],
-            "pr7":{"run_detailed":[{"workload":"gzip @ scale 0.02","after_ns_per_inst":107.3}]}}"#;
-        let probes = convert_legacy("BENCH_pipeline.json", pipeline).expect("converts");
-        let names: Vec<&str> = probes.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"legacy.run_detailed.gzip.ns_per_inst"));
-        assert!(names.contains(&"legacy.pr7.run_detailed.gzip.ns_per_inst"));
-        let gzip = &probes
-            .iter()
-            .find(|(n, _)| n.ends_with("pr7.run_detailed.gzip.ns_per_inst"))
-            .unwrap()
-            .1;
-        assert_eq!(gzip.value, 107.3);
-        assert_eq!(gzip.direction, Direction::Lower);
-
-        let shards = r#"{"date":"2026-08-09","benchmark":{"runs":[
-            {"shards":1,"wall_clock_s":44.9},{"shards":4,"wall_clock_s":44.2}]}}"#;
-        let probes = convert_legacy("BENCH_shards.json", shards).expect("converts");
-        assert_eq!(probes[0].0, "legacy.shards.1.wall_s");
-        assert_eq!(probes[0].1.value, 44.9);
-
-        let already = r#"{"v":1,"schema":"simbench","probes":{}}"#;
-        assert!(convert_legacy("x", already)
-            .unwrap_err()
-            .contains("already"));
-        assert!(convert_legacy("y", r#"{"foo":1}"#).is_err());
     }
 }

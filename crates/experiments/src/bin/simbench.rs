@@ -13,9 +13,6 @@
 //!                                  # precedent)
 //! simbench --update-baselines      # re-record baselines after an
 //!                                  # intentional perf change
-//! simbench --convert BENCH_pipeline.json BENCH_parallel.json ...
-//!                                  # fold legacy layouts into the unified
-//!                                  # schema (no measuring)
 //! ```
 //!
 //! `--baselines FILE` overrides the default `BENCH_baselines.json`;
@@ -27,7 +24,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use experiments::bench::{best_and_mad, compare, convert_legacy, Bench, Direction, Probe, Verdict};
+use experiments::bench::{best_and_mad, compare, Bench, Direction, Probe, Verdict};
 use sim_core::config::SimConfig;
 use sim_core::engine::Simulator;
 use sim_core::isa::InstStream;
@@ -44,8 +41,6 @@ fn main() -> ExitCode {
     let mut check = false;
     let mut update = false;
     let mut enforce = false;
-    let mut convert: Vec<String> = Vec::new();
-    let mut converting = false;
     let mut baselines = DEFAULT_BASELINES.to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -53,28 +48,21 @@ fn main() -> ExitCode {
             "--check" => check = true,
             "--update-baselines" => update = true,
             "--enforce" => enforce = true,
-            "--convert" => converting = true,
             "--baselines" => {
                 baselines = args.next().expect("--baselines needs a file path");
-                converting = false;
             }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: simbench [--check [--enforce]] [--update-baselines] \
-                     [--convert <legacy.json>...] [--baselines FILE]"
+                     [--baselines FILE]"
                 );
                 return ExitCode::SUCCESS;
             }
-            f if converting => convert.push(f.to_string()),
             other => {
                 eprintln!("simbench: unknown flag {other:?} (try --help)");
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if !convert.is_empty() {
-        return do_convert(&convert, &baselines);
     }
 
     let runs = sim_obs::env_val("SIM_BENCH_RUNS")
@@ -103,36 +91,6 @@ fn main() -> ExitCode {
     if check {
         return do_check(&baselines, &current, cpus, enforce);
     }
-    ExitCode::SUCCESS
-}
-
-/// Merge legacy files into the baselines file without measuring.
-fn do_convert(files: &[String], baselines: &str) -> ExitCode {
-    let mut bench = read_baselines(baselines).unwrap_or_default();
-    for file in files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simbench: cannot read {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match convert_legacy(file, &text) {
-            Ok(probes) => {
-                println!("simbench: {file}: {} probes converted", probes.len());
-                bench.probes.extend(probes);
-            }
-            Err(e) => {
-                eprintln!("simbench: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = write_baselines(baselines, bench) {
-        eprintln!("simbench: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("simbench: merged into {baselines}");
     ExitCode::SUCCESS
 }
 
@@ -202,8 +160,8 @@ fn read_baselines(path: &str) -> Result<Bench, String> {
 }
 
 fn write_baselines(path: &str, mut bench: Bench) -> Result<(), String> {
-    // Keep probes an update run did not re-measure (legacy.* conversions,
-    // multi-core-only probes recorded elsewhere).
+    // Keep probes an update run did not re-measure (multi-core-only probes
+    // recorded elsewhere).
     if let Ok(old) = read_baselines(path) {
         for (name, probe) in old.probes {
             bench.probes.entry(name).or_insert(probe);

@@ -23,9 +23,7 @@
 //! `--jobs <n>` (worker threads for the simulation fan-out; output is
 //! byte-identical at any job count), `--shards <n>` (intra-run interval
 //! shards for sampled techniques; output is byte-identical at any shard
-//! count), `--checkpoints <on|off>` (the
-//! fast-forward checkpoint library; reports are byte-identical either
-//! way), `--metrics` (alias `--cache-stats`; print the observability
+//! count), `--metrics` (alias `--cache-stats`; print the observability
 //! registry to stderr, even on an early error exit), and
 //! `--trace-out <file>` / `SIM_TRACE_OUT` (append one JSONL run-ledger
 //! record per technique run; aggregate with the `simreport` binary).

@@ -32,10 +32,6 @@ pub struct Opts {
     /// this file (`--trace-out <file>`, or `SIM_TRACE_OUT`). Buffered and
     /// flushed (sorted) at harness exit. Report output never changes.
     pub trace_out: Option<String>,
-    /// Checkpoint-library override (`--checkpoints on|off`). `None` defers
-    /// to `SIM_CHECKPOINTS` (default on). Toggling never changes report
-    /// output, only how much redundant prefix execution is avoided.
-    pub checkpoints: Option<bool>,
     /// Persistent artifact-store directory (`--store <dir>`, or
     /// `SIM_STORE`). Run results and checkpoint tiers are persisted there
     /// and reused by later *processes*; a warm-store rerun prints
@@ -61,7 +57,7 @@ impl Opts {
     /// Recognized flags: `--full`, `--quick`, `--scale <f>`,
     /// `--bench <a,b,c>`, `--enhancement <nlp|tc>`, `--jobs <n>`,
     /// `--shards <n>`, `--metrics` (alias `--cache-stats`),
-    /// `--trace-out <file>`, `--checkpoints <on|off>`, `--store <dir>`,
+    /// `--trace-out <file>`, `--store <dir>`,
     /// `--profile-out <file>`.
     pub fn from_args<I, S>(args: I) -> Self
     where
@@ -76,7 +72,6 @@ impl Opts {
         let mut shards: Option<usize> = None;
         let mut metrics = sim_obs::env_flag("SIM_CACHE_STATS", false);
         let mut trace_out: Option<String> = sim_obs::env_val("SIM_TRACE_OUT");
-        let mut checkpoints: Option<bool> = None;
         let mut store: Option<String> = sim_obs::env_val("SIM_STORE");
         let mut profile_out: Option<String> = sim_obs::env_val("SIM_PROFILE_OUT");
 
@@ -119,14 +114,6 @@ impl Opts {
                     let v = it.next().expect("--trace-out needs a file path");
                     trace_out = Some(v.as_ref().to_string());
                 }
-                "--checkpoints" => {
-                    let v = it.next().expect("--checkpoints needs on or off");
-                    checkpoints = Some(match v.as_ref() {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        other => panic!("--checkpoints must be on or off, got {other:?}"),
-                    });
-                }
                 "--store" => {
                     let v = it.next().expect("--store needs a directory path");
                     store = Some(v.as_ref().to_string());
@@ -139,7 +126,7 @@ impl Opts {
                     panic!(
                         "unknown flag {other:?} \
                          (try --full, --scale, --bench, --enhancement, --jobs, \
-                         --shards, --metrics, --trace-out, --checkpoints, --store, \
+                         --shards, --metrics, --trace-out, --store, \
                          --profile-out)"
                     )
                 }
@@ -175,7 +162,6 @@ impl Opts {
             shards,
             metrics,
             trace_out,
-            checkpoints,
             store,
             profile_out,
         }
@@ -192,8 +178,7 @@ impl Opts {
 
     /// Install all process-wide settings this run carries: the worker
     /// count ([`Opts::install_jobs`]), the intra-run shard count
-    /// (`--shards`), the checkpoint-library override
-    /// (`--checkpoints`), the persistent artifact store (`--store`), and
+    /// (`--shards`), the persistent artifact store (`--store`), and
     /// the observability switches — span tracing is turned on when either
     /// `--metrics` or `--trace-out` is active, the run-ledger sink is
     /// opened for `--trace-out`, and the stage profiler is forced on when
@@ -209,9 +194,6 @@ impl Opts {
         self.install_jobs();
         if let Some(n) = self.shards {
             sim_exec::set_shards(n);
-        }
-        if let Some(on) = self.checkpoints {
-            techniques::checkpoint::set_enabled(on);
         }
         if let Some(dir) = &self.store {
             sim_store::install_global(std::path::Path::new(dir))
@@ -315,15 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_and_checkpoints_flags_parse() {
-        let o = Opts::default();
-        assert_eq!(o.checkpoints, None);
-        let o = Opts::from_args(["--cache-stats", "--checkpoints", "off"]);
+    fn cache_stats_flag_parses() {
+        let o = Opts::from_args(["--cache-stats"]);
         assert!(o.metrics, "--cache-stats stays an alias for --metrics");
-        assert_eq!(o.checkpoints, Some(false));
-        let o = Opts::from_args(["--checkpoints", "on"]);
-        assert_eq!(o.checkpoints, Some(true));
-        assert!(!o.metrics || std::env::var("SIM_CACHE_STATS").is_ok());
     }
 
     #[test]
@@ -350,12 +326,6 @@ mod tests {
         assert_eq!(o.profile_out.as_deref(), Some("/tmp/profile.folded"));
         let o = Opts::default();
         assert!(o.profile_out.is_none() || std::env::var("SIM_PROFILE_OUT").is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "--checkpoints must be on or off")]
-    fn bad_checkpoints_value_is_rejected() {
-        let _ = Opts::from_args(["--checkpoints", "maybe"]);
     }
 
     #[test]

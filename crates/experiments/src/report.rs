@@ -650,12 +650,11 @@ pub fn human(ledger: &Ledger) -> String {
                 );
             }
             None => {
-                let _ = writeln!(out, "  trace cache: no lookups (SIM_TRACE_CACHE=0?)");
+                let _ = writeln!(out, "  trace cache: no lookups (no interpreted blocks)");
             }
         }
-        // Functional-warming kernel counters (PR 10). Emitted only when an
-        // optimization actually fired, so their absence just means the
-        // lanes/filter/SIMD knobs were off (or no warming ran).
+        // Functional-warming kernel counters. Emitted only when a kernel
+        // actually fired, so their absence just means no warming ran.
         let warm_refills = get("warm.block_refills");
         let warm_filter = get("warm.filter_hits");
         let warm_simd = get("warm.simd_probes");

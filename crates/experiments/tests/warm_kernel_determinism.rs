@@ -1,12 +1,12 @@
-//! The warm-kernel golden matrix: the pre-decoded trace cache that feeds
-//! the warming lanes, and the shard fan-out around it, must be
-//! bit-transparent. `fig2` and `fig5` reports are compared byte-for-byte
-//! across `SIM_TRACE_CACHE_MB` / `SIM_SHARDS`. The lanes, the line-skip
-//! filter and the SIMD tag probes are always on; their exactness is checked
-//! against reference bodies by unit-level oracles (`workloads`
-//! `warm_oracle.rs`, `sim_core::cache` probe tests).
+//! The warm-kernel golden check: the shard fan-out around the warming lanes
+//! must be bit-transparent. `fig2` and `fig5` reports are compared
+//! byte-for-byte with and without `SIM_SHARDS=3`. The trace cache, the
+//! lanes, the line-skip filter and the SIMD tag probes are always on; their
+//! exactness is checked against reference bodies by unit-level oracles
+//! (`workloads` `warm_oracle.rs` and the interpreter's eviction-pressure
+//! tests, `sim_core::cache` probe tests).
 //!
-//! Subprocess-driven (like `store_persistence.rs`) because the knobs are
+//! Subprocess-driven (like `store_persistence.rs`) because `SIM_SHARDS` is
 //! read once per process.
 
 use std::process::Command;
@@ -51,13 +51,7 @@ fn metric(stderr: &str, name: &str) -> u64 {
 }
 
 /// The knob matrix every harness must be invariant under.
-const MATRIX: &[(&str, &[(&str, &str)])] = &[
-    (
-        "no-tcache-sharded",
-        &[("SIM_TRACE_CACHE_MB", "0"), ("SIM_SHARDS", "3")],
-    ),
-    ("sharded", &[("SIM_SHARDS", "3")]),
-];
+const MATRIX: &[(&str, &[(&str, &str)])] = &[("sharded", &[("SIM_SHARDS", "3")])];
 
 #[test]
 fn fig2_is_byte_identical_across_the_warm_kernel_matrix() {
@@ -77,8 +71,7 @@ fn fig2_is_byte_identical_across_the_warm_kernel_matrix() {
 fn fig5_is_byte_identical_across_the_warm_kernel_matrix() {
     // fig5 fans out over all ten technique specs (SMARTS, SimPoint,
     // checkpointed warming, ...), so this leg covers the checkpoint
-    // save/restore paths. The sharded row crosses the merge path with the
-    // trace-cache fallback.
+    // save/restore paths across the sharded merge.
     let bin = env!("CARGO_BIN_EXE_fig5");
     let (baseline, _) = run(bin, &[]);
     let (name, envs) = MATRIX[0];

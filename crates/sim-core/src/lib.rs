@@ -18,9 +18,7 @@
 //! - *functional warming* and *cold fast-forward* modes, the building blocks
 //!   of every simulation technique the paper studies ([`engine::Simulator`]);
 //! - the 43 Plackett–Burman factors of the bottleneck characterization
-//!   ([`config::pb`]);
-//! - a wattch-style activity-based power model ([`power`]) — the substrate
-//!   the paper ran on *is* wattch.
+//!   ([`config::pb`]).
 //!
 //! ## Quick start
 //!
@@ -49,7 +47,6 @@ pub mod engine;
 pub mod isa;
 pub mod memory;
 pub mod pipeline;
-pub mod power;
 pub mod state;
 pub mod stats;
 

@@ -18,6 +18,8 @@ use crate::isa::{DynInst, InstStream, OpClass, REG_ZERO};
 use crate::memory::MemoryHierarchy;
 use crate::state::{get_inst, put_inst, ByteReader, ByteWriter, StateError};
 use crate::stats::CoreCounters;
+use sim_obs::profile::{EPOCH, OCC_COUNT, STAGE_COUNT};
+use std::time::Instant;
 
 const NOT_ISSUED: u64 = u64::MAX;
 
@@ -41,9 +43,9 @@ const FLAG_SIMPLIFIED: u8 = 0b0100_0000;
 /// on deserialize, never serialized itself.
 const FLAG_TRIVIAL: u8 = 0b1000_0000;
 
-/// Default capacity of the fetch-ahead decode buffer (overridable with the
-/// `SIM_FETCH_BATCH` environment variable; clamped to `1..=65536`).
-const DEFAULT_FETCH_BATCH: usize = 64;
+/// Capacity of the fetch-ahead decode buffer: the most instructions one
+/// [`InstStream::next_block`] refill asks for.
+const FETCH_BATCH: usize = 64;
 
 /// The reorder buffer in struct-of-arrays layout: one ring buffer per field,
 /// all sized once from `SimConfig::rob_entries`. The issue/writeback/commit
@@ -594,8 +596,6 @@ pub struct Core {
     /// instructions leave the buffer, so metrics are batch-independent.
     fetch_buf: Vec<DynInst>,
     fetch_buf_pos: usize,
-    /// Decode-buffer capacity (`SIM_FETCH_BATCH`, default 64).
-    fetch_batch: usize,
 
     /// Per-unit busy-until for non-pipelined integer divides.
     int_md_busy: Vec<u64>,
@@ -620,27 +620,94 @@ pub struct Core {
     prof: Option<Box<CoreProf>>,
 }
 
-/// Per-core stage-profiler accumulation: one loop iteration per
-/// [`sim_obs::profile::EPOCH`] is individually timed, everything else just
-/// decrements the countdown. Flushed into the process-wide profile once
-/// per `run_detailed` call.
-#[derive(Debug, Clone)]
+/// Per-core stage-profiler accumulation for one profiled `run_detailed`
+/// call: raw per-stage sums and occupancy sums over the sampled iterations.
+/// Owned by the call's [`StageProbe`] and flushed into the process-wide
+/// profile when the call ends.
+#[derive(Debug, Clone, Default)]
 struct CoreProf {
-    countdown: u32,
-    iters: u64,
     sampled: u64,
-    stage_ns: [u64; sim_obs::profile::STAGE_COUNT],
-    occ_sum: [u64; sim_obs::profile::OCC_COUNT],
+    stage_ns: [u64; STAGE_COUNT],
+    occ_sum: [u64; OCC_COUNT],
 }
 
-impl CoreProf {
-    fn new() -> Self {
-        CoreProf {
-            countdown: sim_obs::profile::EPOCH,
+/// Hooks the detailed loop calls around the stages of every iteration, so
+/// the loop body exists once for both builds: [`NoProbe`] compiles every
+/// hook away, [`StageProbe`] times one iteration per [`EPOCH`].
+trait Probe {
+    /// Start of a loop iteration.
+    fn begin(&mut self);
+    /// Stage `stage` (in [`sim_obs::profile::STAGE_NAMES`] order) finished.
+    fn lap(&mut self, stage: usize);
+    /// End of the iteration (after the cycle-advance arm); `occ` yields the
+    /// ROB / IFQ / LSQ occupancy.
+    fn end(&mut self, occ: impl FnOnce() -> [u64; OCC_COUNT]);
+}
+
+/// The unprofiled build: no state and no per-iteration work, not even a
+/// countdown.
+struct NoProbe;
+
+impl Probe for NoProbe {
+    #[inline(always)]
+    fn begin(&mut self) {}
+    #[inline(always)]
+    fn lap(&mut self, _stage: usize) {}
+    #[inline(always)]
+    fn end(&mut self, _occ: impl FnOnce() -> [u64; OCC_COUNT]) {}
+}
+
+/// The `SIM_PROFILE=1` build: one iteration per [`EPOCH`] reads the clock
+/// after every stage and after the cycle-advance arm, and samples
+/// occupancy; every other iteration only decrements the countdown.
+struct StageProbe {
+    prof: Box<CoreProf>,
+    countdown: u32,
+    iters: u64,
+    /// Time of the previous lap while an iteration is being sampled.
+    last: Option<Instant>,
+}
+
+impl StageProbe {
+    fn new(prof: Box<CoreProf>) -> Self {
+        StageProbe {
+            prof,
+            countdown: EPOCH,
             iters: 0,
-            sampled: 0,
-            stage_ns: [0; sim_obs::profile::STAGE_COUNT],
-            occ_sum: [0; sim_obs::profile::OCC_COUNT],
+            last: None,
+        }
+    }
+}
+
+impl Probe for StageProbe {
+    #[inline(always)]
+    fn begin(&mut self) {
+        self.iters += 1;
+        self.countdown -= 1;
+        if self.countdown == 0 {
+            self.countdown = EPOCH;
+            self.prof.sampled += 1;
+            self.last = Some(Instant::now());
+        }
+    }
+
+    #[inline(always)]
+    fn lap(&mut self, stage: usize) {
+        if let Some(prev) = self.last {
+            let now = Instant::now();
+            self.prof.stage_ns[stage] += now.duration_since(prev).as_nanos() as u64;
+            self.last = Some(now);
+        }
+    }
+
+    #[inline(always)]
+    fn end(&mut self, occ: impl FnOnce() -> [u64; OCC_COUNT]) {
+        if self.last.is_some() {
+            self.lap(STAGE_COUNT - 1);
+            for (acc, v) in self.prof.occ_sum.iter_mut().zip(occ()) {
+                *acc += v;
+            }
+            self.last = None;
         }
     }
 }
@@ -652,9 +719,6 @@ impl Core {
     /// Panics if `cfg` fails [`SimConfig::validate`].
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate().expect("invalid simulator configuration");
-        let fetch_batch = sim_obs::env_val::<usize>("SIM_FETCH_BATCH")
-            .unwrap_or(DEFAULT_FETCH_BATCH)
-            .clamp(1, 1 << 16);
         // Size the calendar window past the longest completion latency this
         // configuration can produce (a DRAM-missing, TLB-missing access plus
         // the slowest arithmetic unit and the redirect penalty) so bucket
@@ -707,9 +771,8 @@ impl Core {
             fetch_blocked: false,
             last_fetch_line: u64::MAX,
             fetch_pending: None,
-            fetch_buf: Vec::with_capacity(fetch_batch),
+            fetch_buf: Vec::with_capacity(FETCH_BATCH),
             fetch_buf_pos: 0,
-            fetch_batch,
             int_md_busy: vec![0; cfg.int_mult_divs as usize],
             fp_md_busy: vec![0; cfg.fp_mult_divs as usize],
             tally_refills: 0,
@@ -717,7 +780,7 @@ impl Core {
             tally_idle_jumps: 0,
             hist_refill: sim_obs::LocalHist::new(),
             hist_jump: sim_obs::LocalHist::new(),
-            prof: sim_obs::profile::enabled().then(|| Box::new(CoreProf::new())),
+            prof: sim_obs::profile::enabled().then(Box::default),
             cfg,
         }
     }
@@ -745,7 +808,7 @@ impl Core {
     /// Approximate in-memory size of a snapshot of this core, in bytes —
     /// the memory hierarchy and predictor dominate; in-flight pipeline
     /// buffers are counted by occupancy. The decode buffer counts only its
-    /// unconsumed tail: its `SIM_FETCH_BATCH`-sized capacity is a per-shard
+    /// unconsumed tail: its `FETCH_BATCH`-sized capacity is a per-shard
     /// *working* allocation (a snapshot drains exactly the tail — see
     /// [`Core::take_unfetched`]), so counting capacity would inflate every
     /// per-shard machine's footprint by the full batch size.
@@ -783,135 +846,86 @@ impl Core {
     /// interpreter) inline into fetch with no per-instruction virtual
     /// dispatch; `&mut dyn InstStream` works too.
     pub fn run_detailed<S: InstStream + ?Sized>(&mut self, stream: &mut S, limit: u64) -> u64 {
-        if self.prof.is_some() {
-            return self.run_detailed_profiled(stream, limit);
-        }
-        let start = self.counters.committed;
-        let target = start.saturating_add(limit);
-        let mut stream_done = false;
-        while self.counters.committed < target {
-            let progress = self.step(stream, &mut stream_done);
-            if stream_done
-                && self.rob.is_empty()
-                && self.ifq.is_empty()
-                && self.fetch_pending.is_none()
-            {
-                break;
-            }
-            if !progress {
-                // Nothing happened: jump to the next event, prefetching the
-                // lines the first post-jump cycle will touch while the jump
-                // target is computed.
-                let next = self.next_event_cycle();
-                self.prefetch_next_event(next);
-                let jump_to = next.max(self.now + 1);
-                self.tally_idle_jumps += 1;
-                self.hist_jump.record(jump_to - self.now);
-                self.counters.cycles += jump_to - self.now;
-                self.now = jump_to;
-            } else {
-                self.counters.cycles += 1;
-                self.now += 1;
-            }
-        }
+        let committed = match self.prof.take() {
+            None => self.run_loop(stream, limit, &mut NoProbe),
+            Some(prof) => self.run_profiled(stream, limit, prof),
+        };
         self.flush_pipeline_metrics();
-        self.counters.committed - start
+        committed
     }
 
-    /// [`Core::run_detailed`] with the stage profiler armed: identical
-    /// control flow, but one loop iteration per `sim_obs::profile::EPOCH`
-    /// is individually timed (each of the five stages plus the
-    /// cycle-advance arm gets its own timestamp pair) and samples ROB /
-    /// IFQ / LSQ occupancy. Kept as a separate loop so the unprofiled hot
-    /// path carries zero profiling cost — not even a countdown decrement.
+    /// [`Core::run_detailed`] with the stage profiler armed: the same loop
+    /// under a [`StageProbe`] that owns `prof` for the call, then the
+    /// call's wall time and samples go to the process-wide profile.
     /// (`inline(never)`, not `cold`: a cold attribute would pessimize
-    /// codegen of the twin loop itself and inflate the very overhead the
-    /// profiler must keep under 2%.)
+    /// codegen of the profiled loop itself and inflate the very overhead
+    /// the profiler must keep under 2%.)
     #[inline(never)]
-    fn run_detailed_profiled<S: InstStream + ?Sized>(&mut self, stream: &mut S, limit: u64) -> u64 {
-        use std::time::Instant;
+    fn run_profiled<S: InstStream + ?Sized>(
+        &mut self,
+        stream: &mut S,
+        limit: u64,
+        prof: Box<CoreProf>,
+    ) -> u64 {
         let wall_start = Instant::now();
+        let mut probe = StageProbe::new(prof);
+        let committed = self.run_loop(stream, limit, &mut probe);
+        let wall_ns = wall_start.elapsed().as_nanos() as u64;
+        let mut p = probe.prof;
+        sim_obs::profile::add_run(wall_ns, probe.iters, p.sampled, p.stage_ns, p.occ_sum);
+        *p = CoreProf::default();
+        self.prof = Some(p);
+        committed
+    }
+
+    /// The one cycle loop: writeback → commit → issue → dispatch → fetch,
+    /// then the cycle-advance arm, with `probe` hooks between the stages.
+    #[inline(always)]
+    fn run_loop<S: InstStream + ?Sized, P: Probe>(
+        &mut self,
+        stream: &mut S,
+        limit: u64,
+        probe: &mut P,
+    ) -> u64 {
         let start = self.counters.committed;
         let target = start.saturating_add(limit);
         let mut stream_done = false;
-        // Move the profiler state out of `self` for the loop's duration:
-        // the unsampled (common) path then touches only two locals per
-        // iteration — no `Option` discriminant check, no Box deref.
-        let mut p = self.prof.take().expect("profiled loop has prof state");
-        let mut countdown = p.countdown;
-        let mut iters: u64 = 0;
         while self.counters.committed < target {
-            iters += 1;
-            countdown -= 1;
-            if countdown == 0 {
-                countdown = sim_obs::profile::EPOCH;
-                p.sampled += 1;
-                let t0 = Instant::now();
-                let a = self.do_writeback();
-                let t1 = Instant::now();
-                let b = self.do_commit();
-                let t2 = Instant::now();
-                let c = self.do_issue();
-                let t3 = Instant::now();
-                let d = self.do_dispatch();
-                let t4 = Instant::now();
-                let e = self.do_fetch(stream, &mut stream_done);
-                let t5 = Instant::now();
-                let progress = a | b | c | d | e;
-                let done = stream_done
-                    && self.rob.is_empty()
-                    && self.ifq.is_empty()
-                    && self.fetch_pending.is_none();
-                if !done {
-                    self.advance(progress);
-                }
-                let t6 = Instant::now();
-                let ns = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
-                let occ = [
+            probe.begin();
+            let mut progress = self.do_writeback();
+            probe.lap(0);
+            progress |= self.do_commit();
+            probe.lap(1);
+            progress |= self.do_issue();
+            probe.lap(2);
+            progress |= self.do_dispatch();
+            probe.lap(3);
+            progress |= self.do_fetch(stream, &mut stream_done);
+            probe.lap(4);
+            let drained = stream_done
+                && self.rob.is_empty()
+                && self.ifq.is_empty()
+                && self.fetch_pending.is_none();
+            if !drained {
+                self.advance(progress);
+            }
+            probe.end(|| {
+                [
                     self.rob.len() as u64,
                     self.ifq.len() as u64,
                     self.lsq.len() as u64,
-                ];
-                for (acc, v) in p.stage_ns.iter_mut().zip([
-                    ns(t0, t1),
-                    ns(t1, t2),
-                    ns(t2, t3),
-                    ns(t3, t4),
-                    ns(t4, t5),
-                    ns(t5, t6),
-                ]) {
-                    *acc += v;
-                }
-                for (acc, v) in p.occ_sum.iter_mut().zip(occ) {
-                    *acc += v;
-                }
-                if done {
-                    break;
-                }
-            } else {
-                let progress = self.step(stream, &mut stream_done);
-                if stream_done
-                    && self.rob.is_empty()
-                    && self.ifq.is_empty()
-                    && self.fetch_pending.is_none()
-                {
-                    break;
-                }
-                self.advance(progress);
+                ]
+            });
+            if drained {
+                break;
             }
         }
-        let wall_ns = wall_start.elapsed().as_nanos() as u64;
-        p.iters += iters;
-        sim_obs::profile::add_run(wall_ns, p.iters, p.sampled, p.stage_ns, p.occ_sum);
-        *p = CoreProf::new();
-        self.prof = Some(p);
-        self.flush_pipeline_metrics();
         self.counters.committed - start
     }
 
-    /// The cycle-advance arm shared by the profiled loop's two paths: on
-    /// progress tick one cycle, otherwise jump to the next event (same
-    /// bookkeeping as the inline arm in [`Core::run_detailed`]).
+    /// The cycle-advance arm: on progress tick one cycle; otherwise jump to
+    /// the next event, prefetching the lines the first post-jump cycle will
+    /// touch while the jump target is computed.
     #[inline]
     fn advance(&mut self, progress: bool) {
         if !progress {
@@ -1009,18 +1023,6 @@ impl Core {
         } else {
             next
         }
-    }
-
-    /// One cycle: commit → writeback → issue → dispatch → fetch.
-    /// Returns whether any stage made progress.
-    fn step<S: InstStream + ?Sized>(&mut self, stream: &mut S, stream_done: &mut bool) -> bool {
-        let mut progress = false;
-        progress |= self.do_writeback();
-        progress |= self.do_commit();
-        progress |= self.do_issue();
-        progress |= self.do_dispatch();
-        progress |= self.do_fetch(stream, stream_done);
-        progress
     }
 
     /// Mark `seq` completed and wake its waiters: each link names a consumer
@@ -1447,7 +1449,7 @@ impl Core {
     }
 
     /// Pull the next instruction from the fetch-ahead decode buffer,
-    /// refilling it from the stream in batches of `fetch_batch`. Refills
+    /// refilling it from the stream in batches of [`FETCH_BATCH`]. Refills
     /// are free in simulated time, so behavior is identical at any batch
     /// size; only host-side dispatch cost is amortized.
     #[inline]
@@ -1459,7 +1461,7 @@ impl Core {
         if self.fetch_buf_pos == self.fetch_buf.len() {
             self.fetch_buf.clear();
             self.fetch_buf_pos = 0;
-            let got = stream.next_block(&mut self.fetch_buf, self.fetch_batch);
+            let got = stream.next_block(&mut self.fetch_buf, FETCH_BATCH);
             if got == 0 {
                 *stream_done = true;
                 return None;
@@ -2247,9 +2249,54 @@ mod structural_tests {
     }
 
     #[test]
+    fn stage_probe_leaves_the_simulation_unchanged() {
+        // The oracle for the one-loop fold: the same loop body under the
+        // stage probe and under the no-op probe must end on the same cycle
+        // with the same counters, and the probe must actually sample.
+        let stream = || {
+            (0..30_000usize).map(|i| {
+                let pc = loop_pc(i);
+                match i % 8 {
+                    0 => DynInst::int_alu(pc)
+                        .with_op(OpClass::Load)
+                        .with_dest(4)
+                        .with_mem_addr(0x10_0000 + (i as u64 * 72) % (1 << 20)),
+                    1 => DynInst::int_alu(pc)
+                        .with_op(OpClass::Store)
+                        .with_srcs(4, 0)
+                        .with_mem_addr(0x20_0000 + (i as u64 % 512) * 8),
+                    2 => DynInst::int_alu(pc)
+                        .with_op(OpClass::IntDiv)
+                        .with_srcs(4, 0)
+                        .with_dest(5),
+                    3 => {
+                        let taken = (i / 8) % 3 == 0;
+                        DynInst::int_alu(pc)
+                            .with_op(OpClass::Branch)
+                            .with_srcs(5, 0)
+                            .with_branch(taken, if taken { pc + 64 } else { pc + 4 })
+                    }
+                    _ => DynInst::int_alu(pc).with_srcs(4, 5).with_dest(3),
+                }
+            })
+        };
+        let mut plain = Core::new(SimConfig::table3(2));
+        let mut profiled = Core::new(SimConfig::table3(2));
+        let mut probe = StageProbe::new(Box::default());
+        let a = plain.run_loop(&mut stream(), u64::MAX, &mut NoProbe);
+        let b = profiled.run_loop(&mut stream(), u64::MAX, &mut probe);
+        assert_eq!(a, 30_000);
+        assert_eq!(a, b, "committed");
+        assert_eq!(plain.counters(), profiled.counters());
+        assert_eq!(plain.now(), profiled.now(), "final cycle");
+        assert!(probe.prof.sampled > 0, "the stage probe never sampled");
+        assert_eq!(probe.prof.sampled, probe.iters / u64::from(EPOCH));
+    }
+
+    #[test]
     fn footprint_counts_decode_occupancy_not_capacity() {
         // The decode buffer's contribution to the footprint is exactly its
-        // unconsumed tail — not its SIM_FETCH_BATCH-sized capacity and not
+        // unconsumed tail — not its FETCH_BATCH-sized capacity and not
         // the already-decoded prefix. Draining it shrinks the footprint by
         // the tail; reloading grows it back by the same amount.
         let mut core = Core::new(SimConfig::table3(2));

@@ -1,7 +1,7 @@
 //! Consistent `SIM_*` environment-variable parsing.
 //!
 //! Every layer of the stack reads configuration from `SIM_*` variables
-//! (`SIM_JOBS`, `SIM_CHECKPOINTS`, `SIM_STORE`, ...). Historically each
+//! (`SIM_JOBS`, `SIM_SHARDS`, `SIM_STORE`, ...). Historically each
 //! crate parsed them ad hoc — one compared against `"1"`, another accepted
 //! `"0|off|false|no"` — so the same spelling meant different things in
 //! different places. These two helpers are the single source of truth:

@@ -38,8 +38,8 @@ pub const EPOCH: u32 = 128;
 /// cycle-advance arm.
 pub const STAGE_COUNT: usize = 6;
 
-/// Stage names in the order `step()` runs them, plus `advance` (the
-/// idle-jump / cycle-increment arm outside `step()`).
+/// Stage names in the order the detailed loop runs them, plus `advance`
+/// (the idle-jump / cycle-increment arm that ends each iteration).
 pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "writeback",
     "commit",

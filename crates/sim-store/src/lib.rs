@@ -837,12 +837,38 @@ impl Drop for DirLock {
 static GLOBAL: OnceLock<Option<Arc<Store>>> = OnceLock::new();
 
 /// Install the process-wide store at `dir` (metrics-registered). Called by
-/// experiment option parsing when `--store` is given. First install wins;
-/// later calls (same or different directory) are ignored.
+/// experiment option parsing when `--store` is given. A repeat install of
+/// the same directory is a no-op; installing a different directory, or any
+/// directory after [`global`] has already fixed the process to no store,
+/// is an error instead of a silent storeless run.
 pub fn install_global(dir: &Path) -> io::Result<()> {
-    let store = Store::registered(dir)?;
-    let _ = GLOBAL.set(Some(Arc::new(store)));
-    Ok(())
+    install_into(&GLOBAL, dir)
+}
+
+fn install_into(cell: &OnceLock<Option<Arc<Store>>>, dir: &Path) -> io::Result<()> {
+    if cell.get().is_none() {
+        let store = Arc::new(Store::registered(dir)?);
+        // A racing install may have won since the check; judge against it.
+        let _ = cell.set(Some(store));
+    }
+    let fixed = match cell.get() {
+        Some(Some(store)) if same_dir(store.dir(), dir) => return Ok(()),
+        Some(Some(store)) => format!("{:?}", store.dir()),
+        _ => "no store".to_string(),
+    };
+    Err(io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        format!("cannot install store {dir:?}: this process is already fixed to {fixed}"),
+    ))
+}
+
+/// Whether two paths name the same directory (canonically when both
+/// resolve, literally otherwise).
+fn same_dir(a: &Path, b: &Path) -> bool {
+    match (fs::canonicalize(a), fs::canonicalize(b)) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => a == b,
+    }
 }
 
 /// The process-wide store, if one is configured. Without an explicit
@@ -867,6 +893,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("simstore-test-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn conflicting_global_install_is_an_error() {
+        let a = scratch("install-a");
+        let b = scratch("install-b");
+        install_global(&a).expect("first install opens the store");
+        install_global(&a).expect("same directory again is a no-op");
+        let err = install_global(&b).expect_err("a second directory conflicts");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert_eq!(global().expect("store installed").dir(), a.as_path());
+        // A process already fixed to "no store" refuses a late install.
+        let none = OnceLock::new();
+        none.set(None).unwrap();
+        assert!(install_into(&none, &a).is_err());
+        let _ = fs::remove_dir_all(&a);
+        let _ = fs::remove_dir_all(&b);
     }
 
     #[test]

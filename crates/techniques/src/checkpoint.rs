@@ -40,9 +40,10 @@
 //!
 //! # Knobs
 //!
-//! - `SIM_CHECKPOINTS=0|off|false|no` (or [`set_enabled`]`(false)`, the
-//!   `--checkpoints off` harness flag) disables every tier; all paths fall
-//!   back to cold execution.
+//! - The library is always on. [`set_enabled`]`(false)` turns every tier
+//!   off so all paths fall back to cold execution; it exists only as the
+//!   cold reference that `tests/checkpoint_equivalence.rs` compares
+//!   against.
 //! - `SIM_CHECKPOINT_ARCH_CAP` — max architectural snapshots kept per
 //!   program (default 128; a snapshot is a few hundred bytes).
 //! - `SIM_CHECKPOINT_WARM_MB` — byte budget for the warm-machine tier
@@ -51,7 +52,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound::{Excluded, Included};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sim_core::{InstStream, SimConfig, Simulator};
@@ -61,24 +62,21 @@ use workloads::{Interp, InterpState, Program};
 const DEFAULT_ARCH_CAP: usize = 128;
 const DEFAULT_WARM_MB: usize = 256;
 
-/// Process-wide enable override: 0 = follow `SIM_CHECKPOINTS`, 1 = on,
-/// 2 = off.
-static ENABLED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Process-wide off switch for the cold reference (see [`set_enabled`]).
+static DISABLED: AtomicBool = AtomicBool::new(false);
 
-/// Force checkpointing on or off for the process, overriding
-/// `SIM_CHECKPOINTS` (the harness `--checkpoints on|off` flag).
+/// Turn the process-wide library off (`false`) or back on (`true`). It
+/// exists only as the cold reference that `tests/checkpoint_equivalence.rs`
+/// compares restored runs against; no harness or binary calls it, so the
+/// library is always on outside that test.
 pub fn set_enabled(on: bool) {
-    ENABLED_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    DISABLED.store(!on, Ordering::Relaxed);
 }
 
-/// Whether the checkpoint library is active. Defaults to on; disabled by
-/// [`set_enabled`]`(false)` or `SIM_CHECKPOINTS=0|off|false|no`.
+/// Whether the checkpoint library is active: on unless the cold reference
+/// turned it off with [`set_enabled`]`(false)`.
 pub fn enabled() -> bool {
-    match ENABLED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => sim_obs::env_flag("SIM_CHECKPOINTS", true),
-    }
+    !DISABLED.load(Ordering::Relaxed)
 }
 
 /// Key of the warm-machine tier: the prefix `(x skipped, y warmed)` of one

@@ -190,7 +190,7 @@ impl Clone for Interp<'_> {
             rng: self.rng,
             emitted: self.emitted,
             fresh_work: 0,
-            tcache: TraceCache::from_env(self.prog),
+            tcache: TraceCache::new(self.prog),
         }
     }
 }
@@ -220,7 +220,7 @@ impl<'p> Interp<'p> {
             rng: SplitMix64::new(prog.seed),
             emitted: 0,
             fresh_work: 0,
-            tcache: TraceCache::from_env(prog),
+            tcache: TraceCache::new(prog),
         }
     }
 
@@ -714,63 +714,57 @@ impl InstStream for Interp<'_> {
         while consumed < n && !self.done {
             // Trace-cache fast path: replay only the patch list (the
             // stateful instructions) instead of scanning the whole body.
-            let mut served = false;
-            if self.tcache.enabled() {
-                if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
-                    let start = self.inst_idx;
-                    let take = ((db.template.len() - start) as u64).min(n - consumed) as usize;
-                    let end = start + take;
-                    if take > 0 {
-                        let lo = if start == 0 {
-                            0
-                        } else {
-                            db.patches.partition_point(|p| (p.idx as usize) < start)
-                        };
-                        for p in &db.patches[lo..] {
-                            if p.idx as usize >= end {
-                                break;
+            if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
+                let start = self.inst_idx;
+                let take = ((db.template.len() - start) as u64).min(n - consumed) as usize;
+                let end = start + take;
+                if take > 0 {
+                    let lo = if start == 0 {
+                        0
+                    } else {
+                        db.patches.partition_point(|p| (p.idx as usize) < start)
+                    };
+                    for p in &db.patches[lo..] {
+                        if p.idx as usize >= end {
+                            break;
+                        }
+                        // Replay only the stateful parts of emission.
+                        match p.kind {
+                            PatchKind::Mem { region, pattern } => {
+                                let _ = Self::mem_addr_in(
+                                    &prog.regions,
+                                    &mut self.cursors,
+                                    &mut self.rng,
+                                    region,
+                                    pattern,
+                                );
                             }
-                            // Replay only the stateful parts of emission.
-                            match p.kind {
-                                PatchKind::Mem { region, pattern } => {
-                                    let _ = Self::mem_addr_in(
-                                        &prog.regions,
-                                        &mut self.cursors,
-                                        &mut self.rng,
-                                        region,
-                                        pattern,
-                                    );
-                                }
-                                PatchKind::Trivial { ppm } => {
-                                    let _ = self.rng.chance_ppm(ppm);
-                                }
+                            PatchKind::Trivial { ppm } => {
+                                let _ = self.rng.chance_ppm(ppm);
                             }
                         }
-                        self.inst_idx = end;
-                        consumed += take as u64;
                     }
-                    if consumed < n && end == db.template.len() {
-                        match Self::term_step(
-                            prog,
-                            &db.term,
-                            db.term_pc,
-                            db.bb_id,
-                            &mut self.loop_counters,
-                            &mut self.call_stack,
-                            &mut self.rng,
-                        ) {
-                            TermStep::Goto { next, .. } => {
-                                self.block = next;
-                                self.inst_idx = 0;
-                                consumed += 1;
-                            }
-                            TermStep::Halt => self.done = true,
-                        }
-                    }
-                    served = true;
+                    self.inst_idx = end;
+                    consumed += take as u64;
                 }
-            }
-            if served {
+                if consumed < n && end == db.template.len() {
+                    match Self::term_step(
+                        prog,
+                        &db.term,
+                        db.term_pc,
+                        db.bb_id,
+                        &mut self.loop_counters,
+                        &mut self.call_stack,
+                        &mut self.rng,
+                    ) {
+                        TermStep::Goto { next, .. } => {
+                            self.block = next;
+                            self.inst_idx = 0;
+                            consumed += 1;
+                        }
+                        TermStep::Halt => self.done = true,
+                    }
+                }
                 continue;
             }
             let blk = &prog.blocks[self.block as usize];
@@ -820,67 +814,61 @@ impl InstStream for Interp<'_> {
             // patch walk; the terminator comes pre-resolved. Patches are
             // applied in instruction order (address before triviality), so
             // the PRNG/cursor state advances exactly as unbatched emission.
-            let mut served = false;
-            if self.tcache.enabled() {
-                if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
-                    let start = self.inst_idx;
-                    let take = (db.template.len() - start).min(max - got);
-                    let end = start + take;
-                    if take > 0 {
-                        let base = out.len();
-                        out.extend_from_slice(&db.template[start..end]);
-                        let lo = if start == 0 {
-                            0
-                        } else {
-                            db.patches.partition_point(|p| (p.idx as usize) < start)
-                        };
-                        for p in &db.patches[lo..] {
-                            let idx = p.idx as usize;
-                            if idx >= end {
-                                break;
+            if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
+                let start = self.inst_idx;
+                let take = (db.template.len() - start).min(max - got);
+                let end = start + take;
+                if take > 0 {
+                    let base = out.len();
+                    out.extend_from_slice(&db.template[start..end]);
+                    let lo = if start == 0 {
+                        0
+                    } else {
+                        db.patches.partition_point(|p| (p.idx as usize) < start)
+                    };
+                    for p in &db.patches[lo..] {
+                        let idx = p.idx as usize;
+                        if idx >= end {
+                            break;
+                        }
+                        let slot = &mut out[base + idx - start];
+                        match p.kind {
+                            PatchKind::Mem { region, pattern } => {
+                                slot.mem_addr = Self::mem_addr_in(
+                                    &prog.regions,
+                                    &mut self.cursors,
+                                    &mut self.rng,
+                                    region,
+                                    pattern,
+                                );
                             }
-                            let slot = &mut out[base + idx - start];
-                            match p.kind {
-                                PatchKind::Mem { region, pattern } => {
-                                    slot.mem_addr = Self::mem_addr_in(
-                                        &prog.regions,
-                                        &mut self.cursors,
-                                        &mut self.rng,
-                                        region,
-                                        pattern,
-                                    );
-                                }
-                                PatchKind::Trivial { ppm } => {
-                                    slot.trivial = self.rng.chance_ppm(ppm);
-                                }
+                            PatchKind::Trivial { ppm } => {
+                                slot.trivial = self.rng.chance_ppm(ppm);
                             }
                         }
-                        self.inst_idx = end;
-                        got += take;
                     }
-                    if got < max && end == db.template.len() {
-                        match Self::term_step(
-                            prog,
-                            &db.term,
-                            db.term_pc,
-                            db.bb_id,
-                            &mut self.loop_counters,
-                            &mut self.call_stack,
-                            &mut self.rng,
-                        ) {
-                            TermStep::Goto { next, inst } => {
-                                self.block = next;
-                                self.inst_idx = 0;
-                                out.push(inst);
-                                got += 1;
-                            }
-                            TermStep::Halt => self.done = true,
-                        }
-                    }
-                    served = true;
+                    self.inst_idx = end;
+                    got += take;
                 }
-            }
-            if served {
+                if got < max && end == db.template.len() {
+                    match Self::term_step(
+                        prog,
+                        &db.term,
+                        db.term_pc,
+                        db.bb_id,
+                        &mut self.loop_counters,
+                        &mut self.call_stack,
+                        &mut self.rng,
+                    ) {
+                        TermStep::Goto { next, inst } => {
+                            self.block = next;
+                            self.inst_idx = 0;
+                            out.push(inst);
+                            got += 1;
+                        }
+                        TermStep::Halt => self.done = true,
+                    }
+                }
                 continue;
             }
             let blk = &prog.blocks[self.block as usize];
@@ -943,99 +931,97 @@ impl InstStream for Interp<'_> {
             return 0;
         }
         let prog = self.prog;
-        if self.tcache.enabled() {
-            if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
-                let mut consumed = 0u64;
-                let start = self.inst_idx;
-                let take = ((db.template.len() - start) as u64).min(max) as usize;
-                let end = start + take;
-                // line_mask = !(line_bytes - 1), so this recovers line_bytes.
-                let line_bytes = !line_mask + 1;
-                if take > 0 {
-                    // First pc whose line has not yet been offered to the
-                    // sink; advanced to the next line *start* after each
-                    // offer (starts are 4-aligned, so they are valid inst
-                    // pcs whenever the sequential pc walk reaches them).
-                    let mut pend_pc = db.template[start].pc;
-                    let lo = if start == 0 {
-                        0
-                    } else {
-                        db.warm_ops.partition_point(|w| (w.idx as usize) < start)
-                    };
-                    for w in &db.warm_ops[lo..] {
-                        let idx = w.idx as usize;
-                        if idx >= end {
-                            break;
-                        }
-                        match w.kind {
-                            WarmKind::Data {
+        if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
+            let mut consumed = 0u64;
+            let start = self.inst_idx;
+            let take = ((db.template.len() - start) as u64).min(max) as usize;
+            let end = start + take;
+            // line_mask = !(line_bytes - 1), so this recovers line_bytes.
+            let line_bytes = !line_mask + 1;
+            if take > 0 {
+                // First pc whose line has not yet been offered to the
+                // sink; advanced to the next line *start* after each
+                // offer (starts are 4-aligned, so they are valid inst
+                // pcs whenever the sequential pc walk reaches them).
+                let mut pend_pc = db.template[start].pc;
+                let lo = if start == 0 {
+                    0
+                } else {
+                    db.warm_ops.partition_point(|w| (w.idx as usize) < start)
+                };
+                for w in &db.warm_ops[lo..] {
+                    let idx = w.idx as usize;
+                    if idx >= end {
+                        break;
+                    }
+                    match w.kind {
+                        WarmKind::Data {
+                            region,
+                            pattern,
+                            store,
+                        } => {
+                            let pc = db.template[idx].pc;
+                            while pend_pc <= pc {
+                                sink.warm_line(pend_pc);
+                                pend_pc = (pend_pc & line_mask) + line_bytes;
+                            }
+                            let a = Self::mem_addr_in(
+                                &prog.regions,
+                                &mut self.cursors,
+                                &mut self.rng,
                                 region,
                                 pattern,
-                                store,
-                            } => {
-                                let pc = db.template[idx].pc;
-                                while pend_pc <= pc {
-                                    sink.warm_line(pend_pc);
-                                    pend_pc = (pend_pc & line_mask) + line_bytes;
-                                }
-                                let a = Self::mem_addr_in(
-                                    &prog.regions,
-                                    &mut self.cursors,
-                                    &mut self.rng,
-                                    region,
-                                    pattern,
-                                );
-                                sink.warm_data(a, store);
-                            }
-                            // Stateful but warming-silent: advance exactly
-                            // the cursor/PRNG state unbatched emission would.
-                            WarmKind::Draw { region, pattern } => {
-                                let _ = Self::mem_addr_in(
-                                    &prog.regions,
-                                    &mut self.cursors,
-                                    &mut self.rng,
-                                    region,
-                                    pattern,
-                                );
-                            }
-                            WarmKind::Trivial { ppm } => {
-                                let _ = self.rng.chance_ppm(ppm);
-                            }
+                            );
+                            sink.warm_data(a, store);
+                        }
+                        // Stateful but warming-silent: advance exactly
+                        // the cursor/PRNG state unbatched emission would.
+                        WarmKind::Draw { region, pattern } => {
+                            let _ = Self::mem_addr_in(
+                                &prog.regions,
+                                &mut self.cursors,
+                                &mut self.rng,
+                                region,
+                                pattern,
+                            );
+                        }
+                        WarmKind::Trivial { ppm } => {
+                            let _ = self.rng.chance_ppm(ppm);
                         }
                     }
-                    // Lines of the trailing warming-silent instructions.
-                    let last_pc = db.template[end - 1].pc;
-                    while pend_pc <= last_pc {
-                        sink.warm_line(pend_pc);
-                        pend_pc = (pend_pc & line_mask) + line_bytes;
-                    }
-                    self.inst_idx = end;
-                    consumed += take as u64;
                 }
-                if consumed < max && end == db.template.len() {
-                    match Self::term_step(
-                        prog,
-                        &db.term,
-                        db.term_pc,
-                        db.bb_id,
-                        &mut self.loop_counters,
-                        &mut self.call_stack,
-                        &mut self.rng,
-                    ) {
-                        TermStep::Goto { next, inst } => {
-                            sink.warm_line(db.term_pc);
-                            sink.warm_control(inst);
-                            self.block = next;
-                            self.inst_idx = 0;
-                            consumed += 1;
-                        }
-                        TermStep::Halt => self.done = true,
-                    }
+                // Lines of the trailing warming-silent instructions.
+                let last_pc = db.template[end - 1].pc;
+                while pend_pc <= last_pc {
+                    sink.warm_line(pend_pc);
+                    pend_pc = (pend_pc & line_mask) + line_bytes;
                 }
-                self.emitted += consumed;
-                self.note_work(consumed);
-                return consumed;
+                self.inst_idx = end;
+                consumed += take as u64;
             }
+            if consumed < max && end == db.template.len() {
+                match Self::term_step(
+                    prog,
+                    &db.term,
+                    db.term_pc,
+                    db.bb_id,
+                    &mut self.loop_counters,
+                    &mut self.call_stack,
+                    &mut self.rng,
+                ) {
+                    TermStep::Goto { next, inst } => {
+                        sink.warm_line(db.term_pc);
+                        sink.warm_control(inst);
+                        self.block = next;
+                        self.inst_idx = 0;
+                        consumed += 1;
+                    }
+                    TermStep::Halt => self.done = true,
+                }
+            }
+            self.emitted += consumed;
+            self.note_work(consumed);
+            return consumed;
         }
         // Uncached fallback: identical events, one instruction at a time
         // (next_inst maintains emitted / the work counter itself).

@@ -11,23 +11,24 @@
 //! ([`crate::Interp::skip_n`]) replays *only* the stateful instructions
 //! instead of scanning the whole body.
 //!
-//! The cache is a host-side accelerator only: every cursor, PRNG draw, and
-//! loop counter advances in exactly the order the uncached interpreter
-//! advances them, so the emitted stream is bit-identical with the cache on,
-//! off, or evicting under memory pressure ([`SIM_TRACE_CACHE`] /
-//! [`SIM_TRACE_CACHE_MB`]). It is also config-independent: templates depend
-//! only on the [`Program`], never on a machine configuration.
-//!
-//! [`SIM_TRACE_CACHE`]: TraceCache::from_env
-//! [`SIM_TRACE_CACHE_MB`]: TraceCache::from_env
+//! The cache is always on and is a host-side accelerator only: every
+//! cursor, PRNG draw, and loop counter advances in exactly the order the
+//! uncached interpreter advances them, so the emitted stream is
+//! bit-identical whether a block is served from the cache, re-decoded after
+//! an eviction, or too large for the budget and decoded uncached. The
+//! reference is [`sim_core::InstStream::next_inst`], which never consults
+//! the cache; the interpreter's eviction-pressure tests and
+//! `tests/warm_oracle.rs` compare the cached paths against it. It is also
+//! config-independent: templates depend only on the [`Program`], never on a
+//! machine configuration.
 
 use crate::program::{MemPattern, Program, Terminator};
 use sim_core::isa::{Addr, DynInst, OpClass};
 
-/// Default byte budget for one execution's decoded blocks (64 MiB — far
-/// above any suite program's static footprint, so eviction only happens when
-/// `SIM_TRACE_CACHE_MB` forces it).
-const DEFAULT_BUDGET_MB: usize = 64;
+/// Byte budget for one execution's decoded blocks (64 MiB — far above any
+/// suite program's static footprint, so eviction only happens when a test
+/// squeezes the budget).
+const BUDGET_BYTES: usize = 64 << 20;
 
 /// A dynamic field of one body instruction that must be recomputed per
 /// execution, in program order ([`DecodedBlock::patches`]).
@@ -328,48 +329,29 @@ pub(crate) struct TraceCache {
     bytes: usize,
     /// Byte budget; inserting past it evicts via the clock hand.
     budget: usize,
-    /// Disabled caches serve every request from the uncached decode path.
-    enabled: bool,
     /// Round-robin eviction hand over `blocks`.
     clock: usize,
     /// Local tallies (flushed on drop / on demand).
     pub tallies: TraceCacheTallies,
     /// Distribution of miss-path probe costs (decode nanoseconds per
     /// block), recorded only while tracing is enabled: the hit path stays
-    /// untimed (it is the thing being protected) and the disabled path
-    /// pays the usual single relaxed load. Flushed with the tallies into
+    /// untimed (it is the thing being protected) and untraced misses pay
+    /// the usual single relaxed load. Flushed with the tallies into
     /// `hist.tcache.probe_ns`.
     probe_ns: sim_obs::LocalHist,
 }
 
 impl TraceCache {
-    /// Build a cache for `prog` honoring `SIM_TRACE_CACHE` (default on) and
-    /// `SIM_TRACE_CACHE_MB` (byte budget, default 64 MiB).
-    pub fn from_env(prog: &Program) -> TraceCache {
-        let enabled = sim_obs::env_flag("SIM_TRACE_CACHE", true);
-        let budget = sim_obs::env_val::<usize>("SIM_TRACE_CACHE_MB")
-            .unwrap_or(DEFAULT_BUDGET_MB)
-            .saturating_mul(1 << 20)
-            .max(1);
+    /// An empty cache for `prog` with the 64 MiB budget.
+    pub fn new(prog: &Program) -> TraceCache {
         TraceCache {
-            blocks: if enabled {
-                vec![None; prog.blocks.len()]
-            } else {
-                Vec::new()
-            },
+            blocks: vec![None; prog.blocks.len()],
             bytes: 0,
-            budget,
-            enabled,
+            budget: BUDGET_BYTES,
             clock: 0,
             tallies: TraceCacheTallies::default(),
             probe_ns: sim_obs::LocalHist::new(),
         }
-    }
-
-    /// Whether the cache serves requests at all.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Bytes of decoded state currently held.
@@ -378,14 +360,11 @@ impl TraceCache {
     }
 
     /// The decoded form of `block`, decoding (and possibly evicting) on
-    /// miss. Returns `None` when the cache is disabled or the block alone
-    /// exceeds the whole budget — callers fall back to the uncached path,
-    /// which produces the identical stream.
+    /// miss. Returns `None` when the block alone exceeds the whole budget
+    /// — callers fall back to the uncached path, which produces the
+    /// identical stream.
     #[inline]
     pub fn get_or_decode(&mut self, prog: &Program, block: u32) -> Option<&DecodedBlock> {
-        if !self.enabled {
-            return None;
-        }
         let slot = block as usize;
         if self.blocks[slot].is_none() {
             self.tallies.misses += 1;
@@ -519,17 +498,10 @@ mod tests {
     #[test]
     fn tiny_budget_forces_eviction_and_still_serves() {
         let p = prog();
-        let mut tc = TraceCache {
-            blocks: vec![None; p.blocks.len()],
-            bytes: 0,
-            // Enough for roughly one block, so every second distinct block
-            // evicts the previous one.
-            budget: 2_048,
-            enabled: true,
-            clock: 0,
-            tallies: TraceCacheTallies::default(),
-            probe_ns: sim_obs::LocalHist::new(),
-        };
+        let mut tc = TraceCache::new(&p);
+        // Enough for roughly one block, so every second distinct block
+        // evicts the previous one.
+        tc.set_budget(2_048);
         let mut served = 0;
         for round in 0..3 {
             for b in 0..p.blocks.len() as u32 {
@@ -544,35 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_serves_nothing() {
-        let p = prog();
-        let mut tc = TraceCache {
-            blocks: Vec::new(),
-            bytes: 0,
-            budget: 1 << 20,
-            enabled: false,
-            clock: 0,
-            tallies: TraceCacheTallies::default(),
-            probe_ns: sim_obs::LocalHist::new(),
-        };
-        assert!(tc.get_or_decode(&p, 0).is_none());
-        assert_eq!(tc.tallies.misses, 0, "disabled caches do not tally");
-    }
-
-    #[test]
     fn warm_rerun_hit_ratio_is_high() {
         // The CI floor: on re-execution every block is already decoded, so
         // hits dominate misses by the blocks' dynamic repetition counts.
         let p = prog();
-        let mut tc = TraceCache {
-            blocks: vec![None; p.blocks.len()],
-            bytes: 0,
-            budget: 64 << 20,
-            enabled: true,
-            clock: 0,
-            tallies: TraceCacheTallies::default(),
-            probe_ns: sim_obs::LocalHist::new(),
-        };
+        let mut tc = TraceCache::new(&p);
         for _ in 0..2 {
             for b in 0..p.blocks.len() as u32 {
                 for _ in 0..10 {

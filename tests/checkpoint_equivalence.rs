@@ -124,7 +124,8 @@ fn checkpointed_sweep_is_deterministic_under_parallel_fanout() {
 }
 
 /// The acceptance criterion: the Figure 2 and Figure 5 sweeps, run with
-/// checkpoints off and then on, must print byte-identical reports, and
+/// the checkpoint library switched off (the cold reference) and then on,
+/// must print byte-identical reports, and
 /// checkpoints must never add functional execution (measured by the
 /// process-wide counter, which restores do not increment). Figure 5 runs
 /// fast-forward techniques whose prefixes the architectural and
@@ -134,18 +135,18 @@ fn checkpointed_sweep_is_deterministic_under_parallel_fanout() {
 #[test]
 fn fig_sweeps_report_identically_and_fig5_saves_functional_execution() {
     let _guard = global_state_lock();
-    let args = ["--scale", "0.05", "--bench", "gzip", "--jobs", "2"];
-    let opts_off = Opts::from_args(args.iter().chain(&["--checkpoints", "off"]));
-    let opts_on = Opts::from_args(args.iter().chain(&["--checkpoints", "on"]));
+    let opts = Opts::from_args(["--scale", "0.05", "--bench", "gzip", "--jobs", "2"]);
     for fig in ["fig2", "fig5"] {
+        checkpoint::set_enabled(false);
         techniques::cache::clear_all();
         sim_core::checkpoint::reset_functional_insts();
-        let cold_report = run_experiment(fig, &opts_off);
+        let cold_report = run_experiment(fig, &opts);
         let cold_insts = sim_core::checkpoint::functional_insts();
 
+        checkpoint::set_enabled(true);
         techniques::cache::clear_all();
         sim_core::checkpoint::reset_functional_insts();
-        let warm_report = run_experiment(fig, &opts_on);
+        let warm_report = run_experiment(fig, &opts);
         let warm_insts = sim_core::checkpoint::functional_insts();
 
         assert_eq!(

@@ -130,19 +130,18 @@ fn fig2_report_is_byte_identical_with_tracing_on() {
     let _ = std::fs::remove_file(&ledger);
 }
 
-/// Restore profiler/checkpoint defaults after a matrix test, even on a
-/// failed assertion mid-matrix.
+/// Restore profiler/shard defaults after a matrix test, even on a failed
+/// assertion mid-matrix.
 struct MatrixNeutral;
 impl Drop for MatrixNeutral {
     fn drop(&mut self) {
         sim_obs::profile::set_enabled(None);
-        techniques::checkpoint::set_enabled(true);
         sim_exec::set_shards(0);
     }
 }
 
 /// The stage profiler must be invisible in the results: `SIM_PROFILE`
-/// {off,on} x shards {1,3} x checkpoints {on,off} all print byte-identical
+/// {off,on} x shards {1,3} all print byte-identical
 /// fig2 reports (fig5 re-checked on the profile axis). Every run starts
 /// from cold reuse tiers so byte-identity is earned by execution, not by
 /// the run cache replaying the first result.
@@ -155,22 +154,16 @@ fn profiling_matrix_is_byte_identical() {
     let mut baseline: Option<String> = None;
     for profile in [false, true] {
         for shards in ["1", "3"] {
-            for checkpoints in ["on", "off"] {
-                sim_obs::profile::set_enabled(Some(profile));
-                techniques::cache::clear_all();
-                let report = run_experiment(
-                    "fig2",
-                    &tiny_args(&["--shards", shards, "--checkpoints", checkpoints]),
-                );
-                match &baseline {
-                    None => baseline = Some(report),
-                    Some(base) => assert_eq!(
-                        base, &report,
-                        "fig2 report changed at SIM_PROFILE={} shards={shards} \
-                         checkpoints={checkpoints}",
-                        profile as u8
-                    ),
-                }
+            sim_obs::profile::set_enabled(Some(profile));
+            techniques::cache::clear_all();
+            let report = run_experiment("fig2", &tiny_args(&["--shards", shards]));
+            match &baseline {
+                None => baseline = Some(report),
+                Some(base) => assert_eq!(
+                    base, &report,
+                    "fig2 report changed at SIM_PROFILE={} shards={shards}",
+                    profile as u8
+                ),
             }
         }
     }

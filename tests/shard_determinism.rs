@@ -16,8 +16,7 @@ use workloads::InputSet;
 const SHARDS: [&str; 4] = ["1", "2", "3", "8"];
 
 /// Every test here toggles process-global state (the shard and jobs
-/// overrides, the checkpoint enable flag, the run cache), so they must not
-/// run concurrently.
+/// overrides, the run cache), so they must not run concurrently.
 fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -31,41 +30,31 @@ impl Drop for Neutral {
     fn drop(&mut self) {
         sim_exec::set_shards(0);
         sim_exec::set_jobs(1);
-        techniques::checkpoint::set_enabled(true);
         techniques::cache::clear_all();
     }
 }
 
 /// The acceptance criterion: the Figure 2 sweep (SMARTS vs SimPoint)
 /// prints a byte-identical report at every shard count, at one and at four
-/// worker threads, with checkpoints both off and on.
+/// worker threads.
 #[test]
 fn fig2_report_is_byte_identical_across_shard_and_job_counts() {
     let _guard = global_state_lock();
     let _neutral = Neutral;
     let base = ["--scale", "0.05", "--bench", "gzip"];
-    for ckpt in ["off", "on"] {
-        for jobs in ["1", "4"] {
-            let args = |shards: &str| {
-                Opts::from_args(base.iter().chain(&[
-                    "--checkpoints",
-                    ckpt,
-                    "--jobs",
-                    jobs,
-                    "--shards",
-                    shards,
-                ]))
-            };
+    for jobs in ["1", "4"] {
+        let args = |shards: &str| {
+            Opts::from_args(base.iter().chain(&["--jobs", jobs, "--shards", shards]))
+        };
+        techniques::cache::clear_all();
+        let golden = run_experiment("fig2", &args(SHARDS[0]));
+        for shards in &SHARDS[1..] {
             techniques::cache::clear_all();
-            let golden = run_experiment("fig2", &args(SHARDS[0]));
-            for shards in &SHARDS[1..] {
-                techniques::cache::clear_all();
-                let report = run_experiment("fig2", &args(shards));
-                assert_eq!(
-                    golden, report,
-                    "fig2 (checkpoints {ckpt}, jobs {jobs}) diverged at --shards {shards}"
-                );
-            }
+            let report = run_experiment("fig2", &args(shards));
+            assert_eq!(
+                golden, report,
+                "fig2 (jobs {jobs}) diverged at --shards {shards}"
+            );
         }
     }
 }

@@ -29,9 +29,10 @@ use sim_core::config::SimConfig;
 use sim_core::engine::Simulator;
 use sim_core::isa::InstStream;
 use simstats::kernel::{argmin, padded_lanes, sq_dists_dim_major, transpose_centroids};
+use simstats::kmeans::best_clustering;
 use simstats::pb::PbDesign;
 use simstats::rng::SplitMix64;
-use techniques::{cache, smarts};
+use techniques::{cache, simpoint, smarts};
 use workloads::{benchmark, InputSet, Interp, Program};
 
 const DEFAULT_BASELINES: &str = "BENCH_baselines.json";
@@ -233,6 +234,13 @@ fn measure_all(runs: u64, cpus: u64) -> Bench {
         Direction::Lower,
         sample(runs, kmeans_assign_pass),
     );
+    let gzip_bbvs = simpoint::projected_bbvs(&gzip, KMEANS_PLAN_INTERVAL).0;
+    add(
+        "stats.kmeans.plan.ms",
+        "ms",
+        Direction::Lower,
+        sample(runs, || kmeans_plan_pass(&gzip_bbvs)),
+    );
     add(
         "stats.pb.effects.ns_per_call",
         "ns/call",
@@ -373,6 +381,26 @@ fn kmeans_assign_pass() -> f64 {
     let dt = t0.elapsed().as_nanos() as f64;
     std::hint::black_box(acc);
     dt / (n * PASSES) as f64
+}
+
+/// Interval of the SimPoint plan [`kmeans_plan_pass`] clusters: Table 1's
+/// multiple-10M spec at scale 0.02 (`max_k` 100), the largest plan.
+const KMEANS_PLAN_INTERVAL: u64 = 200;
+
+/// One whole SimPoint model selection (`max_k` 100, every seed and
+/// iteration SimPoint uses) over gzip's projected BBVs, returning ms.
+fn kmeans_plan_pass(bbvs: &[Vec<f64>]) -> f64 {
+    let t0 = Instant::now();
+    let c = best_clustering(
+        bbvs,
+        100,
+        simpoint::KMEANS_SEEDS,
+        simpoint::KMEANS_ITERS,
+        simpoint::BIC_THRESHOLD,
+    );
+    let dt = t0.elapsed().as_secs_f64() * 1e3;
+    std::hint::black_box(c.inertia);
+    dt
 }
 
 /// One tag-probe pass over a warm 8-way 1 MiB cache: ns per

@@ -116,10 +116,22 @@ pub fn sq_dists_dim_major(p: &[f64], cent_t: &[f64], k: usize, out: &mut [f64]) 
 /// # Panics
 /// Panics if the centroids have unequal dimensions.
 pub fn transpose_centroids(centroids: &[Vec<f64>]) -> Vec<f64> {
+    let mut cent_t = Vec::new();
+    transpose_centroids_into(centroids, &mut cent_t);
+    cent_t
+}
+
+/// [`transpose_centroids`] into a caller-owned buffer, so a loop that
+/// re-transposes every iteration reuses one allocation.
+///
+/// # Panics
+/// Panics if the centroids have unequal dimensions.
+pub(crate) fn transpose_centroids_into(centroids: &[Vec<f64>], cent_t: &mut Vec<f64>) {
     let k = centroids.len();
     let lanes = padded_lanes(k);
     let dim = centroids.first().map_or(0, Vec::len);
-    let mut cent_t = vec![0.0; dim * lanes];
+    cent_t.clear();
+    cent_t.resize(dim * lanes, 0.0);
     for c in 0..lanes {
         let cent = &centroids[c.min(k - 1)];
         assert_eq!(cent.len(), dim, "centroid dimensions must agree");
@@ -127,7 +139,6 @@ pub fn transpose_centroids(centroids: &[Vec<f64>]) -> Vec<f64> {
             cent_t[j * lanes + c] = v;
         }
     }
-    cent_t
 }
 
 /// Lane count [`transpose_centroids`] pads `k` centroids to (the next
@@ -148,6 +159,23 @@ pub fn argmin(values: &[f64]) -> usize {
         }
     }
     best.1
+}
+
+/// [`argmin`]'s index (same first-wins rule) together with the smallest
+/// value at any *other* index (`+∞` when there is none), in one pass: the
+/// nearest and second-nearest distances k-means' bounds need.
+#[inline]
+pub(crate) fn argmin_and_runner_up(values: &[f64]) -> (usize, f64) {
+    let (mut best, mut at, mut runner_up) = (f64::INFINITY, 0usize, f64::INFINITY);
+    for (i, &v) in values.iter().enumerate() {
+        if v < best {
+            runner_up = best;
+            (best, at) = (v, i);
+        } else if v < runner_up {
+            runner_up = v;
+        }
+    }
+    (at, runner_up)
 }
 
 /// Per-factor signed sums for a Plackett–Burman design: lane `f`
@@ -258,6 +286,27 @@ mod tests {
     fn argmin_prefers_first_of_equal_values() {
         assert_eq!(argmin(&[3.0, 1.0, 1.0, 2.0]), 1);
         assert_eq!(argmin(&[f64::INFINITY]), 0);
+    }
+
+    #[test]
+    fn runner_up_is_the_smallest_other_value() {
+        for values in [
+            &[3.0, 1.0, 1.0, 2.0][..],
+            &[1.0, 3.0, 0.5, 0.5, 0.25][..],
+            &[2.0, 2.0][..],
+            &[5.0][..],
+            &[4.0, f64::NAN, 1.0, f64::NAN, 3.0][..],
+        ] {
+            let (at, runner_up) = argmin_and_runner_up(values);
+            assert_eq!(at, argmin(values), "{values:?}");
+            let others = values
+                .iter()
+                .enumerate()
+                .filter(|&(i, v)| i != at && *v < f64::INFINITY)
+                .map(|(_, &v)| v)
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(runner_up, others, "{values:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! clustering whose Bayesian Information Criterion score is close to the
 //! best, and use the interval nearest each centroid as a simulation point.
 
-use crate::kernel::{argmin, padded_lanes, sq_dist, sq_dists_dim_major, transpose_centroids};
+use crate::kernel::{
+    argmin_and_runner_up, padded_lanes, sq_dist, sq_dists_dim_major, transpose_centroids_into,
+};
 use crate::rng::SplitMix64;
 
 /// The result of one k-means run.
@@ -54,8 +56,21 @@ impl Clustering {
 
 /// Lloyd's algorithm with random initialization.
 ///
-/// Runs at most `iters` iterations or until assignments stabilize. Empty
-/// clusters are re-seeded with the point farthest from its centroid.
+/// Runs at most `iters` iterations or until assignments stabilize. Each
+/// iteration assigns every point to its nearest centroid (squared distance,
+/// first index winning ties), then moves every centroid to the mean of its
+/// points. A cluster left empty is re-seeded, in increasing cluster order,
+/// with the point of worst fit, where fit is the squared distance to the
+/// point's own centroid *as the update has left it so far*: clusters below
+/// the empty one already hold their new means, the rest their old
+/// positions. The last index wins ties, and no point is taken out of its
+/// cluster, so one point can seed several empty clusters in the same
+/// iteration and leave duplicate centroids.
+///
+/// The assignment step skips points whose nearest centroid is provably
+/// unchanged (Hamerly's bounds with the exactness margin of
+/// `prune_margin`); every other point takes the full distance scan. The
+/// result is bit-identical to scanning every point every iteration.
 ///
 /// # Panics
 /// Panics if `data` is empty or `k == 0`.
@@ -75,52 +90,139 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, iters: usize, seed: u64) -> Clusterin
         }
     }
 
-    let mut assignments = vec![0usize; data.len()];
+    lloyd(data, centroids, iters)
+}
+
+/// [`kmeans`]' iterations from the given starting centroids.
+fn lloyd(data: &[Vec<f64>], mut centroids: Vec<Vec<f64>>, iters: usize) -> Clustering {
+    let (n, dim, k) = (data.len(), data[0].len(), centroids.len());
+    let iters = iters.max(1);
+    let tau = prune_margin(data, iters);
     let lanes = padded_lanes(k);
     let mut dists = vec![0.0; lanes];
-    for _ in 0..iters.max(1) {
+    let mut cent_t = Vec::with_capacity(dim * lanes);
+    let mut assignments = vec![0usize; n];
+    // Hamerly's bounds: `upper[i]` is at least the distance from point `i`
+    // to its own centroid, `lower[i]` at most its distance to any other
+    // centroid (∞ and 0 until the first scan, so nothing is skipped then).
+    let mut upper = vec![f64::INFINITY; n];
+    let mut lower = vec![0.0; n];
+    // Half the distance from each centroid to its nearest other centroid.
+    let mut half_gap = vec![0.0; k];
+    // How far each centroid moved in the last update, and the largest and
+    // second-largest of those moves.
+    let mut drift = vec![0.0; k];
+    let (mut drift_max, mut drift_max2, mut drift_arg) = (0.0, 0.0, 0);
+    // Squared distance of each point to its own pre-update centroid, from
+    // this iteration's scan; negative for a skipped point until a re-seed
+    // needs it.
+    let mut fit = vec![0.0; n];
+    let mut fit_new = Vec::new();
+    let mut sums = vec![0.0; k * dim];
+    let mut counts = vec![0usize; k];
+    let mut old = centroids.clone();
+    for _ in 0..iters {
         // Assign: one squared distance per centroid, computed in parallel
         // lanes over the dimension-major centroid matrix (bit-identical to
         // the per-centroid scalar loop; see `kernel`).
-        let cent_t = transpose_centroids(&centroids);
+        transpose_centroids_into(&centroids, &mut cent_t);
+        if tau.is_finite() {
+            for (c, cent) in centroids.iter().enumerate() {
+                sq_dists_dim_major(cent, &cent_t, lanes, &mut dists);
+                dists[c] = f64::INFINITY;
+                half_gap[c] = 0.5
+                    * dists[..k]
+                        .iter()
+                        .fold(f64::INFINITY, |m, &d| m.min(d))
+                        .sqrt();
+            }
+        }
         let mut changed = false;
         for (i, p) in data.iter().enumerate() {
+            let a = assignments[i];
+            upper[i] += drift[a];
+            lower[i] -= if a == drift_arg {
+                drift_max2
+            } else {
+                drift_max
+            };
+            if upper[i] + tau < half_gap[a].max(lower[i]) {
+                fit[i] = -1.0;
+                continue;
+            }
             sq_dists_dim_major(p, &cent_t, lanes, &mut dists);
-            let best = argmin(&dists[..k]);
-            if assignments[i] != best {
+            let (best, runner_up) = argmin_and_runner_up(&dists[..k]);
+            fit[i] = dists[best];
+            upper[i] = dists[best].sqrt();
+            lower[i] = runner_up.sqrt();
+            if a != best {
                 assignments[i] = best;
                 changed = true;
             }
         }
         // Update.
-        let dim = data[0].len();
-        let mut sums = vec![vec![0.0; dim]; k];
-        let mut counts = vec![0usize; k];
+        for (o, c) in old.iter_mut().zip(&centroids) {
+            o.copy_from_slice(c);
+        }
+        sums.fill(0.0);
+        counts.fill(0);
         for (p, &a) in data.iter().zip(&assignments) {
             counts[a] += 1;
-            for (s, &x) in sums[a].iter_mut().zip(p) {
+            for (s, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(p) {
                 *s += x;
             }
         }
-        for c in 0..k {
-            if counts[c] == 0 {
-                // Re-seed an empty cluster with the worst-fit point.
-                let worst = (0..data.len())
-                    .max_by(|&a, &b| {
-                        sq_dist(&data[a], &centroids[assignments[a]])
-                            .partial_cmp(&sq_dist(&data[b], &centroids[assignments[b]]))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("data nonempty");
-                centroids[c] = data[worst].clone();
-            } else {
-                for (j, s) in sums[c].iter().enumerate() {
-                    centroids[c][j] = s / counts[c] as f64;
+        for (c, cent) in centroids.iter_mut().enumerate() {
+            if counts[c] > 0 {
+                for (v, s) in cent.iter_mut().zip(&sums[c * dim..(c + 1) * dim]) {
+                    *v = s / counts[c] as f64;
                 }
+            }
+        }
+        if counts.contains(&0) {
+            // Re-seed each empty cluster with the worst-fit point. Fit is
+            // read against the new mean for points of lower clusters and
+            // the old centroid otherwise — exactly what updating and
+            // re-seeding clusters one at a time in index order would see.
+            fit_new.resize(n, 0.0);
+            for (i, p) in data.iter().enumerate() {
+                let a = assignments[i];
+                if fit[i] < 0.0 {
+                    fit[i] = sq_dist(p, &old[a]);
+                }
+                fit_new[i] = sq_dist(p, &centroids[a]);
+            }
+            for c in (0..k).filter(|&c| counts[c] == 0) {
+                let fit_at = |i: usize| {
+                    if assignments[i] < c {
+                        fit_new[i]
+                    } else {
+                        fit[i]
+                    }
+                };
+                // `Iterator::max_by`'s rule: a later point replaces the
+                // worst so far unless the worst so far compares greater.
+                let (mut worst, mut worst_fit) = (0, fit_at(0));
+                for i in 1..n {
+                    let f = fit_at(i);
+                    if worst_fit.partial_cmp(&f) != Some(std::cmp::Ordering::Greater) {
+                        (worst, worst_fit) = (i, f);
+                    }
+                }
+                centroids[c].copy_from_slice(&data[worst]);
             }
         }
         if !changed {
             break;
+        }
+        (drift_max, drift_max2, drift_arg) = (0.0, 0.0, 0);
+        for (c, d) in drift.iter_mut().enumerate() {
+            *d = sq_dist(&old[c], &centroids[c]).sqrt();
+            if *d > drift_max {
+                (drift_max2, drift_max, drift_arg) = (drift_max, *d, c);
+            } else if *d > drift_max2 {
+                drift_max2 = *d;
+            }
         }
     }
 
@@ -134,6 +236,52 @@ pub fn kmeans(data: &[Vec<f64>], k: usize, iters: usize, seed: u64) -> Clusterin
         centroids,
         inertia,
     }
+}
+
+/// The margin τ of [`kmeans`]'s pruning test
+/// `upper + τ < max(half_gap, lower)`, or `+∞` (no point is ever skipped)
+/// when a coordinate is not finite or the data are so large that squared
+/// distances could overflow.
+///
+/// Why the test never skips a point whose full scan would pick another
+/// centroid. Let `B` be the largest coordinate magnitude, `d` the
+/// dimension, `T = iters`, `ε = 2⁻⁵³` and `α = 1e-150`.
+///
+/// 1. Every centroid is an input point or a rounded mean of inputs, so
+///    its coordinates lie within `B(1 + 2⁻²⁰)`, and every distance (point
+///    or centroid to point or centroid, or a centroid's move) is at most
+///    `R = 2.001·B·√d ≤ 1e150`.
+/// 2. A kernel or [`sq_dist`] sum of `d` rounded squares is within
+///    `(d+3)ε·D² + d·2⁻¹⁰⁷⁴` of the true `D²` (relative error of a sum of
+///    non-negative terms, plus underflow). Its rounded square root is
+///    within `e = R(d+4)ε + α` of `D`.
+/// 3. A bound starts as one such root; each iteration adds a computed
+///    move (error `e`) with one rounding (error `≤ 2Rε`, the operands
+///    being at most `2R` whenever the test can pass). A point takes at
+///    most `T` such updates between two scans, so `upper`, `lower` and
+///    `half_gap` are each within `E = (T+1)(R(d+6)ε + α)` of a true bound.
+/// 4. If the test passes, the true distance to the own centroid `a` is
+///    below every other true distance `D_c` by more than
+///    `g = τ − 2E − 2Rε ≥ 6(R(d+6)ε + α)`: via `lower` directly, via
+///    `half_gap` because `D_c ≥ 2·half_gap − D_a` (triangle inequality).
+/// 5. Then the scan's computed values satisfy
+///    `ŝ_c − ŝ_a ≥ (D_c + D_a)(g − (d+3)ε·R) − 2d·2⁻¹⁰⁷⁴ > g·α − 2d·2⁻¹⁰⁷⁴ > 0`,
+///    so the scan's first-wins `argmin` returns `a`: a strict win, which is
+///    why exact ties (`g = 0`) are never skipped.
+fn prune_margin(data: &[Vec<f64>], iters: usize) -> f64 {
+    let mut b: f64 = 0.0;
+    for x in data.iter().flatten() {
+        if !x.is_finite() {
+            return f64::INFINITY;
+        }
+        b = b.max(x.abs());
+    }
+    let d = data[0].len() as f64;
+    let r = 2.001 * b * d.sqrt();
+    if r > 1e150 {
+        return f64::INFINITY;
+    }
+    4.0 * (iters as f64 + 2.0) * (r * (d + 6.0) * f64::EPSILON / 2.0 + 1e-150)
 }
 
 /// Bayesian Information Criterion of a clustering under the spherical
@@ -290,6 +438,30 @@ mod tests {
         let data = vec![vec![0.0], vec![1.0]];
         let c = kmeans(&data, 10, 10, 0);
         assert!(c.k() <= 2);
+    }
+
+    #[test]
+    fn empty_clusters_reseed_by_the_partly_updated_worst_fit() {
+        // Five points with four distinct values and five clusters, so some
+        // clusters must empty: 100 and 200 and 300 attract nobody.
+        let data: Vec<Vec<f64>> = [0.0, 4.0, 10.0, 12.0, 12.0]
+            .iter()
+            .map(|&x| vec![x])
+            .collect();
+        let start = [0.0, 100.0, 10.0, 200.0, 300.0]
+            .iter()
+            .map(|&x| vec![x])
+            .collect();
+        let c = lloyd(&data, start, 1);
+        assert_eq!(c.assignments, vec![0, 0, 2, 2, 2]);
+        let centroids: Vec<f64> = c.centroids.iter().map(|v| v[0]).collect();
+        // Cluster 1 is re-seeded after cluster 0 moved to its mean 2 but
+        // before cluster 2 left 10: fits are 4, 4, 0, 4, 4, and the last of
+        // the tied points (12) wins. Against all-old centroids (fits 0, 16,
+        // 0, 4, 4) or all-new ones (4, 4, 1.78, 0.44, 0.44) it would be 4.
+        // Clusters 3 and 4 see every mean updated; both take the last
+        // worst point, 4, and end as duplicate centroids.
+        assert_eq!(centroids, vec![2.0, 12.0, 34.0 / 3.0, 4.0, 4.0]);
     }
 
     #[test]

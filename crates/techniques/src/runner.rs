@@ -2,7 +2,7 @@
 //! machine configuration, producing metrics plus cost.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::cache;
 use crate::checkpoint;
@@ -15,6 +15,9 @@ use sim_core::{SimConfig, Simulator};
 use sim_obs::{trace as obs, Phase, Reuse};
 use workloads::{Benchmark, InputSet, Interp, Program};
 
+/// One plan-cache slot: filled once by the first caller for its key.
+type PlanCell = Arc<OnceLock<Arc<SimPointPlan>>>;
+
 /// A benchmark with its programs and SimPoint plans built and cached.
 ///
 /// Building programs is cheap but SimPoint plans require a full profiling
@@ -26,14 +29,16 @@ use workloads::{Benchmark, InputSet, Interp, Program};
 ///
 /// The caches use interior mutability (`Mutex<HashMap>` of `Arc`s), so a
 /// `&PreparedBench` can be shared across [`sim_exec::par_map`] workers: all
-/// experiment fan-out runs against one prepared benchmark.
+/// experiment fan-out runs against one prepared benchmark. Plans sit in one
+/// [`OnceLock`] cell per key, so a slow plan blocks only the callers that
+/// want that same plan.
 #[derive(Debug)]
 pub struct PreparedBench {
     bench: Benchmark,
     scale: f64,
     reference: Arc<Program>,
     programs: Mutex<HashMap<InputSet, Option<Arc<Program>>>>,
-    plans: Mutex<HashMap<(u64, usize), Arc<SimPointPlan>>>,
+    plans: Mutex<HashMap<(u64, usize), PlanCell>>,
 }
 
 impl PreparedBench {
@@ -102,14 +107,15 @@ impl PreparedBench {
 
     /// The SimPoint plan for `(interval, max_k)` on the reference program
     /// (cached). Concurrent callers for the same key block until the first
-    /// finishes profiling, so the pass runs once.
+    /// finishes profiling and clustering, so the plan is built once; callers
+    /// for other keys do not wait (the map lock is held only to fetch the
+    /// key's cell, never while a plan is built).
     pub fn simpoint_plan(&self, interval: u64, max_k: usize) -> Arc<SimPointPlan> {
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            plans
-                .entry((interval, max_k))
-                .or_insert_with(|| Arc::new(simpoint::plan(&self.reference, interval, max_k))),
-        )
+        let cell = {
+            let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
+            Arc::clone(plans.entry((interval, max_k)).or_default())
+        };
+        Arc::clone(cell.get_or_init(|| Arc::new(simpoint::plan(&self.reference, interval, max_k))))
     }
 }
 

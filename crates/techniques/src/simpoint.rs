@@ -14,7 +14,7 @@ use crate::profile::profile_intervals;
 use crate::spec::SimPointWarmup;
 use sim_core::{SimConfig, Simulator};
 use sim_obs::{trace as obs, Phase};
-use simstats::kmeans::best_clustering;
+use simstats::kmeans::{best_clustering, Clustering};
 use simstats::project::RandomProjection;
 use workloads::{Interp, Program};
 
@@ -78,6 +78,10 @@ pub fn plan(program: &Program, interval: u64, max_k: usize) -> SimPointPlan {
 
 /// Run the SimPoint analysis phase with the given representative selection.
 ///
+/// Counts each plan in the registered `simpoint.plans` counter and its
+/// clustering wall time in `simpoint.kmeans_ns` (no ledger phase covers
+/// the clustering).
+///
 /// # Panics
 /// Panics if `interval == 0` or `max_k == 0`.
 pub fn plan_with_selection(
@@ -87,6 +91,23 @@ pub fn plan_with_selection(
     selection: PointSelection,
 ) -> SimPointPlan {
     assert!(max_k > 0, "max_k must be nonzero");
+    let (projected, profiled_insts) = projected_bbvs(program, interval);
+    let t0 = std::time::Instant::now();
+    let clustering = best_clustering(&projected, max_k, KMEANS_SEEDS, KMEANS_ITERS, BIC_THRESHOLD);
+    let kmeans_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    sim_obs::metrics::counter("simpoint.plans").inc();
+    sim_obs::metrics::counter("simpoint.kmeans_ns").add(kmeans_ns);
+    plan_from_clustering(interval, &projected, &clustering, selection, profiled_insts)
+}
+
+/// Profile `program` into intervals and return each interval's BBV,
+/// normalized to frequencies and projected to [`PROJECTED_DIMS`]
+/// dimensions — the points SimPoint clusters — together with the number of
+/// instructions profiled.
+///
+/// # Panics
+/// Panics if `interval == 0`.
+pub fn projected_bbvs(program: &Program, interval: u64) -> (Vec<Vec<f64>>, u64) {
     let prof = {
         let mut span = obs::span(Phase::Profile);
         let prof = profile_intervals(program, interval);
@@ -96,7 +117,7 @@ pub fn plan_with_selection(
 
     // Normalize each BBV to frequencies and project ("seedproj = 1").
     let projection = RandomProjection::new(prof.num_blocks.max(1), PROJECTED_DIMS, 1);
-    let projected: Vec<Vec<f64>> = prof
+    let projected = prof
         .intervals
         .iter()
         .map(|iv| {
@@ -108,10 +129,21 @@ pub fn plan_with_selection(
             projection.apply_sparse(&normed)
         })
         .collect();
+    (projected, prof.total_insts)
+}
 
-    let clustering = best_clustering(&projected, max_k, KMEANS_SEEDS, KMEANS_ITERS, BIC_THRESHOLD);
+/// Turn a clustering of [`projected_bbvs`]' points into a plan: one point
+/// per cluster, chosen by `selection`, weighted by cluster population and
+/// sorted by interval index.
+pub fn plan_from_clustering(
+    interval: u64,
+    projected: &[Vec<f64>],
+    clustering: &Clustering,
+    selection: PointSelection,
+    profiled_insts: u64,
+) -> SimPointPlan {
     let reps = match selection {
-        PointSelection::Centroid => clustering.representatives(&projected),
+        PointSelection::Centroid => clustering.representatives(projected),
         PointSelection::Early => {
             // Earliest member of each cluster.
             let mut earliest = vec![usize::MAX; clustering.k()];
@@ -138,7 +170,7 @@ pub fn plan_with_selection(
     SimPointPlan {
         interval,
         points,
-        profiled_insts: prof.total_insts,
+        profiled_insts,
         chosen_k: clustering.k(),
     }
 }
